@@ -31,20 +31,6 @@ struct Point {
   harness::PerfStats perf;
 };
 
-/// "hierarchical" when any fill in the run went through the rack-island
-/// solver; "flat" otherwise (rackless topologies, or components below the
-/// engagement threshold). Per-point, so a sweep shows which sizes the
-/// decomposition actually kicks in for.
-const char* solver_mode(const harness::PerfStats& perf) {
-  return perf.hier_fills > 0 ? "hierarchical" : "flat";
-}
-
-double memo_hit_rate(const harness::PerfStats& perf) {
-  const double total =
-      static_cast<double>(perf.memo_hits + perf.memo_misses);
-  return total > 0 ? static_cast<double>(perf.memo_hits) / total : 0.0;
-}
-
 void append_json(std::string& out, const Point& p) {
   char buf[2048];
   std::snprintf(
@@ -61,17 +47,7 @@ void append_json(std::string& out, const Point& p) {
       "      \"expand_rounds\": %llu,\n"
       "      \"full_recomputes\": %llu,\n"
       "      \"flow_starts\": %llu,\n"
-      "      \"memo_hits\": %llu,\n"
-      "      \"memo_misses\": %llu,\n"
-      "      \"memo_hit_rate\": %.6f,\n"
-      "      \"component_fills\": %llu,\n"
-      "      \"hier_fills\": %llu,\n"
-      "      \"hier_rounds\": %llu,\n"
-      "      \"hier_fallbacks\": %llu,\n"
-      "      \"split_cuts\": %llu,\n"
-      "      \"split_pieces\": %llu,\n"
-      "      \"island_par_rounds\": %llu,\n"
-      "      \"solver_mode\": \"%s\",\n",
+      "      \"component_fills\": %llu,\n",
       p.name.c_str(), p.perf.wall_seconds, p.virtual_seconds,
       (unsigned long long)p.perf.events_processed,
       (unsigned long long)p.perf.reallocations,
@@ -81,15 +57,7 @@ void append_json(std::string& out, const Point& p) {
       (unsigned long long)p.perf.expand_rounds,
       (unsigned long long)p.perf.full_recomputes,
       (unsigned long long)p.perf.flow_starts,
-      (unsigned long long)p.perf.memo_hits,
-      (unsigned long long)p.perf.memo_misses, memo_hit_rate(p.perf),
-      (unsigned long long)p.perf.component_fills,
-      (unsigned long long)p.perf.hier_fills,
-      (unsigned long long)p.perf.hier_rounds,
-      (unsigned long long)p.perf.hier_fallbacks,
-      (unsigned long long)p.perf.split_cuts,
-      (unsigned long long)p.perf.split_pieces,
-      (unsigned long long)p.perf.island_par_rounds, solver_mode(p.perf));
+      (unsigned long long)p.perf.component_fills);
   out += buf;
   // No recorded seed reference: emit null, not a misleading 0.000.
   if (p.seed_wall_seconds > 0.0 && p.perf.wall_seconds > 0.0) {
@@ -146,9 +114,8 @@ Point run_fig10(std::size_t groups, std::size_t size, std::uint64_t bytes,
 }
 
 /// Fig 10b-shaped oversubscribed-rack point: concurrent rotated-root
-/// groups on the parameterized racked profile. This is the configuration
-/// the hierarchical island solver exists for — components span racks and
-/// couple only through the shared uplinks.
+/// groups on the parameterized racked profile — components span racks and
+/// couple through the shared uplinks.
 Point run_racked(std::size_t groups, std::size_t size, std::uint64_t bytes,
                  std::size_t messages, double seed_wall) {
   harness::ConcurrentConfig cfg;
@@ -184,18 +151,15 @@ int main(int argc, char** argv) {
   // reference recorded for that point). The 512-node and fig10 seeds are
   // the original growth-seed tree (the growth-seed solver is quadratic in
   // active flows; larger points would not finish in useful time). The
-  // 1024/4096/16384 seeds are the pre-splitting tree — hierarchical
-  // solver and memo in place, but with the short expansion cap and no
-  // saturation-cut splitter — so speedup_vs_seed on those rows tracks
-  // exactly what this optimization bought.
+  // 1024/4096/16384 seeds are a later tree with the short expansion cap
+  // (kMaxExpandRounds 6), so speedup_vs_seed on those rows tracks what
+  // the longer cap and everything since bought.
   std::vector<Point> points;
   if (quick) {
     points.push_back(run_fig8(128, 8ull << 20, 0.0));
     points.push_back(run_fig10(8, 8, 16ull << 20, 1, 0.0));
-    // Racked point small enough for smoke runs but big enough that the
-    // island solver and (with --fill-jobs > 1) the parallel island
-    // dispatch engage (island_par_rounds > 0 needs components of >= 512
-    // island members) — this is the row the TSan CI step watches.
+    // Racked point small enough for smoke runs: components couple
+    // through the oversubscribed rack uplinks.
     points.push_back(run_racked(16, 256, 2ull << 20, 1, 0.0));
   } else {
     points.push_back(run_fig8(128, 32ull << 20, 0.0));
@@ -204,10 +168,8 @@ int main(int argc, char** argv) {
     points.push_back(run_fig8(4096, 32ull << 20, 12.06));
     points.push_back(run_fig10(16, 16, 100ull << 20, 2, 16.7));
     points.push_back(run_racked(8, 128, 8ull << 20, 1, 0.0));
-    // 2 MB, not 8: the point exists to track the island-parallel path
-    // (island_par_rounds > 0), which engages identically at 2 MB, and the
-    // concurrent-flow blow-up at 8 MB costs ~50 s of bench wall for no
-    // extra coverage.
+    // 2 MB, not 8: the larger racked shape at 8 MB multiplies the bench
+    // wall for no extra coverage.
     points.push_back(run_racked(16, 256, 2ull << 20, 1, 0.0));
     // Mega-scale point: ~27 s here vs ~2.5 min on the pre-splitting
     // tree (seed extrapolated from its measured n^1.8 wall scaling at
@@ -217,9 +179,8 @@ int main(int argc, char** argv) {
       points.push_back(run_fig8(16384, 32ull << 20, 150.0));
   }
 
-  std::printf("%-24s %10s %12s %12s %12s %10s %9s %13s\n", "point", "wall_s",
-              "events", "reallocs", "fill_rounds", "avg_touch", "speedup",
-              "solver");
+  std::printf("%-24s %10s %12s %12s %12s %10s %9s\n", "point", "wall_s",
+              "events", "reallocs", "fill_rounds", "avg_touch", "speedup");
   for (const auto& p : points) {
     const double avg_touch =
         p.perf.reallocations
@@ -228,12 +189,11 @@ int main(int argc, char** argv) {
     const double speedup = p.seed_wall_seconds > 0.0 && p.perf.wall_seconds > 0
                                ? p.seed_wall_seconds / p.perf.wall_seconds
                                : 0.0;
-    std::printf("%-24s %10.3f %12llu %12llu %12llu %10.1f %8.2fx %13s\n",
+    std::printf("%-24s %10.3f %12llu %12llu %12llu %10.1f %8.2fx\n",
                 p.name.c_str(), p.perf.wall_seconds,
                 (unsigned long long)p.perf.events_processed,
                 (unsigned long long)p.perf.reallocations,
-                (unsigned long long)p.perf.filling_rounds, avg_touch, speedup,
-                solver_mode(p.perf));
+                (unsigned long long)p.perf.filling_rounds, avg_touch, speedup);
   }
 
   std::string json = "{\n  \"bench\": \"perf_core\",\n";

@@ -267,6 +267,9 @@ void Group::pump_sends(std::size_t pair_index) {
         data_ != nullptr ? data_ + block_offset(block) : nullptr,
         block_bytes(block)};
     const std::uint64_t wr = pair.next_send;
+    // Stamped before the post: on MemFabric the byte copy can finish inside
+    // post_send, and a hop's post must not trail its own transfer.
+    const double posted_at = obs::tracer() ? node_.clock()() : 0.0;
     if (!fabric::ok(pair.qp->post_send(buf, wr,
                                        static_cast<std::uint32_t>(size_))))
       return;
@@ -276,7 +279,7 @@ void Group::pump_sends(std::size_t pair_index) {
     if (auto* tr = obs::tracer())
       tr->begin(obs::Cat::kCore, "block", node_.id(),
                 obs::block_span_id(id_, block, node_.id(), pair.peer),
-                node_.clock()(), "block,dst,qp,wr", block, pair.peer,
+                posted_at, "block,dst,qp,wr", block, pair.peer,
                 pair.qp->id(), wr);
   }
 }

@@ -1,11 +1,11 @@
 #include "core/rdmc.hpp"
 
 #include <cassert>
-#include <chrono>
 #include <cstring>
 
 #include "core/group.hpp"
 #include "core/small_group.hpp"
+#include "obs/trace.hpp"
 #include "util/logging.hpp"
 
 namespace rdmc {
@@ -42,14 +42,11 @@ bool decode(std::span<const std::byte> payload, OobHeader& header) {
 }  // namespace
 
 Clock steady_clock_seconds() {
+  // The real fabrics stamp their transfer spans with obs::wall_seconds();
+  // reading the same process-wide origin puts every node's core trace
+  // events on that timebase, so stall analysis can line them up.
   // rdmc-lint: allow(wall-clock) this IS the explicit wall-clock factory; deterministic runs inject the simulator clock instead
-  const auto epoch = std::chrono::steady_clock::now();
-  return [epoch] {
-    // rdmc-lint: allow(wall-clock) body of the wall-clock factory above
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch)
-        .count();
-  };
+  return [] { return obs::wall_seconds(); };
 }
 
 Node::Node(fabric::Fabric& fabric, NodeId id, Clock clock)

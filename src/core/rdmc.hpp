@@ -52,7 +52,8 @@ using MessageCompletionCallback =
 using FailureCallback = std::function<void(GroupId group, NodeId suspect)>;
 
 /// Virtual-or-real clock, seconds. SimFabric users pass the simulator
-/// clock; MemFabric users the default steady clock.
+/// clock; MemFabric and TcpFabric users the default steady clock, which
+/// reads obs::wall_seconds() (one process-wide origin).
 using Clock = std::function<double()>;
 
 Clock steady_clock_seconds();

@@ -290,10 +290,6 @@ struct MemFabric::Connection {
       PostedRecv recv = std::move(dir.recvs.front());
       dir.recvs.pop_front();
 
-      if (auto* tr = obs::tracer())
-        tr->end(obs::Cat::kFabric, "xfer", sender_qp->self_,
-                obs::xfer_span_id(sender_qp->id(), send.wr_id),
-                obs::wall_seconds(), "qp,wr", sender_qp->id(), send.wr_id);
       Completion send_c{send.wr_id, WcOpcode::kSend, WcStatus::kSuccess,
                         static_cast<std::uint32_t>(send.buf.size),
                         send.immediate, sender_qp->id(), sender_qp->peer()};
@@ -312,6 +308,12 @@ struct MemFabric::Connection {
                  send.buf.size > 0) {
         std::memcpy(recv.buf.data, send.buf.data, send.buf.size);
       }
+      // The span closes once the bytes have landed, so the stall analysis
+      // counts the copy as transfer time.
+      if (auto* tr = obs::tracer())
+        tr->end(obs::Cat::kFabric, "xfer", sender_qp->self_,
+                obs::xfer_span_id(sender_qp->id(), send.wr_id),
+                obs::wall_seconds(), "qp,wr", sender_qp->id(), send.wr_id);
       fabric.deliver(sender_qp->self_, send_c);
       fabric.deliver(receiver_qp->self_, recv_c);
       if (broken) {
@@ -326,12 +328,13 @@ struct MemFabric::Connection {
   bool execute_window_write(MemQueuePair* sender_qp,
                             MemQueuePair* receiver_qp,
                             const PendingSend& send) RDMC_REQUIRES(mutex) {
+    const auto result = fabric.apply_endpoint_window_write(
+        receiver_qp->self_, send.window_id, send.window_offset, send.buf);
+    // Closed after the placement copy, like the two-sided "xfer" span.
     if (auto* tr = obs::tracer())
       tr->end(obs::Cat::kFabric, "xferw", sender_qp->self_,
               obs::xfer_span_id(sender_qp->id(), send.wr_id),
               obs::wall_seconds(), "qp,wr", sender_qp->id(), send.wr_id);
-    const auto result = fabric.apply_endpoint_window_write(
-        receiver_qp->self_, send.window_id, send.window_offset, send.buf);
     if (result == MemFabric::WindowApply::kOutOfBounds) {
       RDMC_LOG_ERROR("memfabric",
                      "window write out of bounds (win %u, off %llu, len "

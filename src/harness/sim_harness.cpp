@@ -93,15 +93,7 @@ PerfStats PerfStats::from(const obs::MetricsRegistry& registry) {
   s.expand_rounds = get("sim.expand_rounds");
   s.full_recomputes = get("sim.full_recomputes");
   s.flow_starts = get("sim.flow_starts");
-  s.memo_hits = get("sim.memo_hits");
-  s.memo_misses = get("sim.memo_misses");
   s.component_fills = get("sim.component_fills");
-  s.hier_fills = get("sim.hier_fills");
-  s.hier_rounds = get("sim.hier_rounds");
-  s.hier_fallbacks = get("sim.hier_fallbacks");
-  s.split_cuts = get("sim.split_cuts");
-  s.split_pieces = get("sim.split_pieces");
-  s.island_par_rounds = get("sim.island_par_rounds");
   s.breaks_delivered = get("fault.disconnects");
   s.flushed_completions = get("fault.flushed");
   s.reforms = get("harness.reforms");
@@ -122,15 +114,7 @@ void SimCluster::sync_metrics() const {
   metrics_.counter("sim.flow_starts").set(c.flow_starts);
   metrics_.counter("sim.flow_completions").set(c.flow_completions);
   metrics_.counter("sim.flow_aborts").set(c.flow_aborts);
-  metrics_.counter("sim.memo_hits").set(c.memo_hits);
-  metrics_.counter("sim.memo_misses").set(c.memo_misses);
   metrics_.counter("sim.component_fills").set(c.component_fills);
-  metrics_.counter("sim.hier_fills").set(c.hier_fills);
-  metrics_.counter("sim.hier_rounds").set(c.hier_rounds);
-  metrics_.counter("sim.hier_fallbacks").set(c.hier_fallbacks);
-  metrics_.counter("sim.split_cuts").set(c.split_cuts);
-  metrics_.counter("sim.split_pieces").set(c.split_pieces);
-  metrics_.counter("sim.island_par_rounds").set(c.island_par_rounds);
   const auto& f = fabric_->fault_counters();
   metrics_.counter("fault.disconnects").set(f.disconnects_delivered);
   metrics_.counter("fault.flushed").set(f.flushed_completions);

@@ -50,15 +50,7 @@ struct PerfStats {
   std::uint64_t expand_rounds = 0;        // sim.expand_rounds
   std::uint64_t full_recomputes = 0;      // sim.full_recomputes
   std::uint64_t flow_starts = 0;          // sim.flow_starts
-  std::uint64_t memo_hits = 0;            // sim.memo_hits
-  std::uint64_t memo_misses = 0;          // sim.memo_misses
   std::uint64_t component_fills = 0;      // sim.component_fills
-  std::uint64_t hier_fills = 0;           // sim.hier_fills
-  std::uint64_t hier_rounds = 0;          // sim.hier_rounds
-  std::uint64_t hier_fallbacks = 0;       // sim.hier_fallbacks
-  std::uint64_t split_cuts = 0;           // sim.split_cuts
-  std::uint64_t split_pieces = 0;         // sim.split_pieces
-  std::uint64_t island_par_rounds = 0;    // sim.island_par_rounds
   // Fault-path counters (SimFabric::FaultCounters + harness bookkeeping).
   std::uint64_t breaks_delivered = 0;     // fault.disconnects
   std::uint64_t flushed_completions = 0;  // fault.flushed

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <set>
 #include <utility>
 
 namespace rdmc::obs {
@@ -78,17 +79,28 @@ Index build_index(const std::vector<TraceEvent>& events, std::int32_t group,
   const std::uint64_t msg_id = msg_span_id(group, seq);
   std::map<std::uint64_t, std::size_t> open_degrades, open_slows,
       open_recoveries;
+  // Nodes between their own begin and end of this message. Block numbers
+  // and work-request ids restart with every message, so block, completion
+  // and wire events count only while their node works on this one — in
+  // record order, which on every fabric follows each node's causality.
+  std::set<std::uint32_t> active;
   for (const TraceEvent& e : events) {
     switch (e.cat) {
       case Cat::kCore: {
         if (name_is(e, "msg")) {
           if (e.id != msg_id) break;
-          if (e.phase == Phase::kBegin && e.node == root) {
-            ix.msg_start = e.ts;
-            ix.have_start = true;
+          if (e.phase == Phase::kBegin) {
+            active.insert(e.node);
+            if (e.node == root) {
+              ix.msg_start = e.ts;
+              ix.have_start = true;
+            }
           } else if (e.phase == Phase::kEnd) {
             ix.msg_done[e.node] = e.ts;
+            active.erase(e.node);
           }
+        } else if (!active.count(e.node)) {
+          break;
         } else if (name_is(e, "block")) {
           if (!group_of_id(e.id, group)) break;
           if (e.phase == Phase::kBegin) {
@@ -110,6 +122,7 @@ Index build_index(const std::vector<TraceEvent>& events, std::int32_t group,
       }
       case Cat::kFabric: {
         if (name_is(e, "xfer")) {
+          if (!active.count(e.node)) break;
           if (e.phase == Phase::kBegin) {
             XferSpan& s = ix.xfer[{e.a[2], e.a[3]}];
             s.begin = e.ts;

@@ -1,7 +1,6 @@
 #include "sim/flow_network.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -164,9 +163,7 @@ void FlowNetwork::rebuild_all_membership() {
   // Topology capacities changed under us (set_pair_cap / set_node_nic after
   // flows were established): the cached membership may now be wrong — e.g. a
   // pair cap appeared on a path an existing flow uses. Rewire everything and
-  // recompute all rates once; this is the cold path. Memoized fills keyed on
-  // the old capacities are stale too.
-  memo_clear();
+  // recompute all rates once; this is the cold path.
   auto reset = [&](Resource& r) {
     r.members.clear();
     r.cap = resource_capacity(r);
@@ -339,7 +336,7 @@ void FlowNetwork::split_components(std::uint64_t mark,
   // members (visit epoch == mark; mark 0 means every member is in-set).
   // Components land in split_flows_/split_res_ in discovery order — seeded
   // from comp_flows_ in order, expanding resource member lists in order —
-  // which is the canonical order the memo fingerprints and the fills use.
+  // which is the canonical order the fills use.
   // freeze_epoch_ / Resource::split_epoch carry the BFS stamps; both are
   // compared by equality against strictly increasing epochs, so the fills'
   // later stamps can never collide.
@@ -525,11 +522,11 @@ void FlowNetwork::reallocate_dirty() {
       // a single bottleneck elimination over a disconnected span is still
       // exact (each component freezes at its own saturations; the shared
       // rising level only interleaves them), and none of the split's
-      // payoffs (dirty skip, hierarchical solve, parallel dispatch)
-      // engage at this size. Expansion rounds merge the fresh flows into
-      // the components they touch (merge_expansion) instead of re-running
-      // the global BFS; components that gained no flow keep their
-      // round-one rates untouched either way.
+      // payoffs (dirty skip, parallel dispatch) engage at this size.
+      // Expansion rounds merge the fresh flows into the components they
+      // touch (merge_expansion) instead of re-running the global BFS;
+      // components that gained no flow keep their round-one rates
+      // untouched either way.
       if (iter == 0 && comp_flows_.size() < kSplitMinFlows) {
         split_flows_.assign(comp_flows_.begin(), comp_flows_.end());
         split_res_.assign(comp_resources_.begin(), comp_resources_.end());
@@ -548,7 +545,7 @@ void FlowNetwork::reallocate_dirty() {
       } else {
         // Unions of true components are true components, so once split,
         // expansion rounds just merge the fresh flows in.
-        merge_expansion(mark, fresh_begin);
+        merge_expansion(fresh_begin);
       }
       fill_dirty_components(mark);
       const std::size_t before = comp_flows_.size();
@@ -617,12 +614,9 @@ void FlowNetwork::reallocate_dirty() {
 
 // ---------------------------------------------------- exact bottleneck fill --
 
-std::uint64_t FlowNetwork::fill_prepare(CompSpan& comp,
-                                        std::uint64_t local_mark,
-                                        std::uint32_t ci) {
+void FlowNetwork::fill_prepare(CompSpan& comp, std::uint64_t local_mark) {
   const std::uint64_t fill = ++epoch_;
   comp.fill = fill;
-  comp.has_pair = false;
   comp.has_coupling = false;
   Resource* const* res = split_res_.data() + comp.res_off;
   std::uint32_t ordinal = 0;
@@ -633,10 +627,8 @@ std::uint64_t FlowNetwork::fill_prepare(CompSpan& comp,
   for (std::uint32_t ri = 0; ri < comp.res_cnt; ++ri) {
     Resource* r = res[ri];
     assert(!r->members.empty());
-    if (r->kind == Resource::Kind::kPair)
-      comp.has_pair = true;
-    else if (r->kind == Resource::Kind::kRackUp ||
-             r->kind == Resource::Kind::kRackDown)
+    if (r->kind == Resource::Kind::kRackUp ||
+        r->kind == Resource::Kind::kRackDown)
       comp.has_coupling = true;
     double rem = r->cap;
     double usage_b = 0.0, max_b = 0.0;
@@ -671,14 +663,12 @@ std::uint64_t FlowNetwork::fill_prepare(CompSpan& comp,
     r->live = r->lmem_cnt;
     r->fill_epoch = fill;
     r->comp_index = ordinal++;
-    r->comp_id = ci;
     r->usage_b = usage_b;
     r->max_b = max_b;
     r->min_b = min_b;
     r->usage_local = 0.0;
     r->max_local = 0.0;
   }
-  return fill;
 }
 
 void FlowNetwork::res_heap_sift_up(std::vector<Resource*>& heap,
@@ -730,8 +720,8 @@ std::uint64_t FlowNetwork::fill_exact(const CompSpan& comp,
                                       std::vector<Resource*>& heap) const {
   // --- Max-min fairness by exact bottleneck elimination. Every resource
   // sits in an indexed min-heap keyed by its estimated exhaust level
-  // lambda + rem/live (ties by component ordinal, so the fill is a pure
-  // function of the component shape). Each round pops the true minimum —
+  // lambda + rem/live (ties by component ordinal, so the fill depends only
+  // on the component's canonical order). Each round pops the true minimum —
   // the next resource to saturate — freezes its remaining participating
   // flows at the fair share, and updates each neighbouring resource's
   // residual capacity/degree and heap position in place. Unlike the
@@ -750,12 +740,7 @@ std::uint64_t FlowNetwork::fill_exact(const CompSpan& comp,
   heap.clear();
   for (std::uint32_t ri = 0; ri < comp.res_cnt; ++ri) {
     Resource* r = res[ri];
-    // last_lambda + rem/live, not rem/live: a peeled piece arrives with
-    // resources already refreshed to the peel levels, whose exhaust
-    // estimate continues from last_lambda. Fresh prepares have
-    // last_lambda == 0 and 0.0 + x is bitwise x for x >= 0, so unsplit
-    // fills are unchanged.
-    r->fill_key = r->last_lambda + r->rem / r->live;
+    r->fill_key = r->rem / r->live;
     r->fill_pos = ri;
     heap.push_back(r);
   }
@@ -779,12 +764,9 @@ std::uint64_t FlowNetwork::fill_exact(const CompSpan& comp,
     res_heap_remove(heap, r);
     assert(r->live > 0);
     // The stored key IS the exhaust level: every sift already computed it
-    // as last_lambda + rem/live right after a refresh, so adopting it here
-    // (instead of re-deriving it through a refresh at the current global
-    // level) makes each pop's arithmetic a function of the popped
-    // resource's own state alone. That locality is what lets a peeled
-    // piece reproduce the flat fill bit-for-bit: the piece fill never
-    // sees the other pieces' lambda history.
+    // as lambda + rem/live right after a refresh, so the pop adopts it
+    // rather than re-deriving it through another refresh (which would
+    // round differently and move virtual times in the last bits).
     lambda = r->fill_key;
     r->rem = 0.0;
     r->last_lambda = lambda;
@@ -811,23 +793,20 @@ std::uint64_t FlowNetwork::fill_exact(const CompSpan& comp,
         if (r2 == r) continue;
         if (r2->live == 0) {
           // Drained: all its participants froze elsewhere. Out of the
-          // heap — it can never pop. On *coupled* components the
-          // saturation marks must additionally be canonical — a function
-          // of the final rates, not of elimination order: on an exact
-          // level tie a resource can drain here (its last member frozen
-          // by the tied peer) under one pop order and saturate under
-          // another, and the hierarchical solver routinely takes the
-          // other order; a mark the two solvers disagree on makes
-          // validate_boundary skip expansions after a hier fill and
-          // diverge on a later realloc. So an exhausted resource is
-          // marked whether it popped or drained, at the level of its
-          // highest member rate (== the pop level when it did pop);
-          // max_local is final here because this freeze was its last.
-          // Uncoupled components are exact-only territory — the pop
-          // order is deterministic and self-consistent there, and
-          // marking every drained-at-cap NIC of a jittered pipeline
-          // floods may_hog with near-tie expansions (2x wall at the
-          // 16384-node Fig 8 point), so they keep pop-only marks.
+          // heap — it can never pop. On *coupled* components (crossing a
+          // rack uplink) the saturation mark is canonical — a function of
+          // the final rates, not of elimination order: on an exact level
+          // tie a resource can drain here (its last member frozen by the
+          // tied peer) instead of popping, and an exhausted resource left
+          // unmarked drops out of validate_boundary's hog check. So it is
+          // marked whether it popped or drained, at its highest member
+          // rate (== the pop level when it did pop; max_local is final
+          // here because this freeze was its last). Dropping the branch
+          // leaves every BENCH_core virtual time unchanged but moves the
+          // Fig 10b racked bandwidth in the last bits, so it stays.
+          // Uncoupled components keep pop-only marks: marking every
+          // drained-at-cap NIC of a jittered pipeline floods may_hog with
+          // near-tie expansions (2x wall at the 16384-node Fig 8 point).
           res_heap_remove(heap, r2);
           if (comp.has_coupling && r2->usage_b + r2->usage_local >=
                                        r2->cap * (1.0 - kExpandTol)) {
@@ -848,326 +827,9 @@ std::uint64_t FlowNetwork::fill_exact(const CompSpan& comp,
   return pops;
 }
 
-// ------------------------------------------------- saturation-cut peeling --
-
-std::size_t FlowNetwork::peel_and_split(std::uint32_t ci, std::uint64_t mark) {
-  // Schedule-aware splitting (DESIGN.md §"Saturation-cut splitting"). A
-  // *cut* is a live resource whose exhaust level lastl + rem/live is below
-  // every other exhaust level within graph distance two by the relative
-  // kCutMargin. The flat fill provably pops a cut before any resource that
-  // could interact with it (everything freezing its members, and everything
-  // refreshing the resources its members cross, lies within distance two
-  // and carries a strictly higher key), so freezing a cut's members here —
-  // with the pop's exact arithmetic — commutes with the rest of the fill
-  // bit-for-bit. The margin also forces cuts >= distance three apart, so
-  // the cuts of one round never interact with each other, and iterating
-  // rounds only raises every later refresh level. What survives splits
-  // into independent pieces that fill (and memoize) separately.
-  //
-  // peel appends pieces to comps_ (possibly reallocating), so the
-  // component is addressed by index throughout. The parent's
-  // split_flows_/split_res_ spans are only permuted in place — pieces are
-  // sub-slices — so the span arrays never grow here.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::uint32_t nf = comps_[ci].flow_cnt;
-  const std::uint32_t nr = comps_[ci].res_cnt;
-  const std::uint32_t foff = comps_[ci].flow_off;
-  const std::uint32_t roff = comps_[ci].res_off;
-  const std::uint32_t* flows = split_flows_.data() + foff;
-  Resource* const* res = split_res_.data() + roff;
-
-  // --- Cut detection over the live sub-graph (pure: no mutation). Three
-  // passes: per-flow two lowest adjacent keys with the owner of the
-  // lowest; per-resource distance-1 minimum plus the two lowest per-flow
-  // minima with distinct owners (so a resource can exclude contributions
-  // whose minimum it is itself); per-resource distance-2 guard. A flow
-  // sharing a resource r with owner != r fails r's guard through the
-  // distance-1 minimum, which is what makes the two-owner trick sound.
-  const auto detect = [&]() {
-    const std::uint64_t fill = comps_[ci].fill;
-    cut_key_.assign(nr, kInf);
-    for (std::uint32_t ri = 0; ri < nr; ++ri) {
-      const Resource* r = res[ri];
-      if (r->live > 0)
-        cut_key_[ri] = r->last_lambda + r->rem / r->live;
-    }
-    cut_s1_.assign(nf, kInf);
-    cut_s2_.assign(nf, kInf);
-    cut_o1_.assign(nf, kNone);
-    for (std::uint32_t fi = 0; fi < nf; ++fi) {
-      const std::uint32_t slot = flows[fi];
-      if (freeze_epoch_[slot] == fill) continue;  // frozen by earlier round
-      const Flow& f = slab_[slot];
-      double s1 = kInf, s2 = kInf;
-      std::uint32_t o1 = kNone;
-      for (std::uint32_t j = 0; j < f.res_count; ++j) {
-        const std::uint32_t ord = f.res[j]->comp_index;
-        const double k = cut_key_[ord];
-        if (k < s1) {
-          s2 = s1;
-          s1 = k;
-          o1 = ord;
-        } else if (k < s2) {
-          s2 = k;
-        }
-      }
-      cut_s1_[fi] = s1;
-      cut_s2_[fi] = s2;
-      cut_o1_[fi] = o1;
-    }
-    cut_nb1_.assign(nr, kInf);
-    cut_e1_.assign(nr, kInf);
-    cut_e2_.assign(nr, kInf);
-    cut_eo1_.assign(nr, kNone);
-    for (std::uint32_t fi = 0; fi < nf; ++fi) {
-      if (cut_o1_[fi] == kNone) continue;  // frozen
-      const Flow& f = slab_[flows[fi]];
-      const double s1 = cut_s1_[fi], s2 = cut_s2_[fi];
-      const std::uint32_t o1 = cut_o1_[fi];
-      for (std::uint32_t j = 0; j < f.res_count; ++j) {
-        const std::uint32_t ord = f.res[j]->comp_index;
-        const double nb = o1 == ord ? s2 : s1;
-        if (nb < cut_nb1_[ord]) cut_nb1_[ord] = nb;
-        // Two lowest s1 contributions with distinct owners.
-        if (o1 == cut_eo1_[ord]) {
-          if (s1 < cut_e1_[ord]) cut_e1_[ord] = s1;
-        } else if (s1 < cut_e1_[ord]) {
-          cut_e2_[ord] = cut_e1_[ord];
-          cut_e1_[ord] = s1;
-          cut_eo1_[ord] = o1;
-        } else if (s1 < cut_e2_[ord]) {
-          cut_e2_[ord] = s1;
-        }
-      }
-    }
-    cut_list_.clear();
-    for (std::uint32_t ri = 0; ri < nr; ++ri) {
-      const Resource* r = res[ri];
-      if (r->live == 0) continue;
-      double guard = cut_nb1_[ri];
-      const std::uint32_t* lm = local_arena_.data() + r->lmem_off;
-      for (std::uint32_t m = 0; m < r->lmem_cnt; ++m) {
-        const std::uint32_t slot = lm[m];
-        if (freeze_epoch_[slot] == fill) continue;
-        const Flow& f = slab_[slot];
-        for (std::uint32_t j = 0; j < f.res_count; ++j) {
-          const std::uint32_t o2 = f.res[j]->comp_index;
-          if (o2 == ri) continue;
-          const double d2 = cut_eo1_[o2] == ri ? cut_e2_[o2] : cut_e1_[o2];
-          if (d2 < guard) guard = d2;
-        }
-      }
-      if (guard < kInf && cut_key_[ri] < guard * (1.0 - kCutMargin))
-        cut_list_.push_back(ri);
-    }
-  };
-
-  detect();
-  if (cut_list_.empty()) return 0;
-
-  if (cross_check_ && !comps_[ci].prepared) {
-    // Byte-equality oracle: run the flat fill over the unsplit component
-    // and record its verdicts; the epilogue of fill_dirty_components
-    // compares them bitwise against the peel + piece results. Then restore
-    // the prepared state by re-running the (deterministic) prepare — a
-    // fresh fill epoch invalidates the oracle's freeze and saturation
-    // marks. Peeled pieces that re-peel skip this: their parent's oracle
-    // already covers every flow, and a piece's refreshed state cannot be
-    // rebuilt by fill_prepare.
-    fill_exact(comps_[ci], res_heap_);
-    for (std::uint32_t fi = 0; fi < nf; ++fi) {
-      const std::uint32_t slot = flows[fi];
-      oracle_slots_.push_back(slot);
-      oracle_rates_.push_back(rates_scratch_[slot]);
-      oracle_bns_.push_back(bottleneck_scratch_[slot]);
-    }
-    fill_prepare(comps_[ci], mark, ci);
-    detect();
-    assert(!cut_list_.empty() && "prepare is deterministic");
-  }
-
-  // --- Peel rounds: freeze each cut exactly as the flat fill's pop would,
-  // then re-detect on the refreshed remainder until no cut survives. Cuts
-  // within one round are >= distance three apart, so their freeze cascades
-  // touch disjoint resources; they are still applied in (key, ordinal)
-  // order — the flat fill's pop order — for determinism by construction.
-  const std::uint64_t fill = comps_[ci].fill;
-  std::uint64_t total_cuts = 0;
-  while (!cut_list_.empty()) {
-    total_cuts += cut_list_.size();
-    std::sort(cut_list_.begin(), cut_list_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                if (cut_key_[a] != cut_key_[b])
-                  return cut_key_[a] < cut_key_[b];
-                return a < b;
-              });
-    for (const std::uint32_t ord : cut_list_) {
-      Resource* r = res[ord];
-      const double lambda = cut_key_[ord];
-      r->rem = 0.0;
-      r->last_lambda = lambda;
-      r->sat_lambda = lambda;
-      r->sat_fill = fill;
-      const std::uint32_t* fmem = local_arena_.data() + r->lmem_off;
-      for (std::uint32_t m = 0; m < r->lmem_cnt; ++m) {
-        const std::uint32_t slot = fmem[m];
-        if (freeze_epoch_[slot] == fill) continue;
-        freeze_epoch_[slot] = fill;
-        rates_scratch_[slot] = lambda;
-        bottleneck_scratch_[slot] = r;
-        const Flow& af = slab_[slot];
-        for (std::uint32_t i = 0; i < af.res_count; ++i) {
-          Resource* r2 = af.res[i];
-          assert(r2->fill_epoch == fill);
-          r2->rem -= (lambda - r2->last_lambda) * r2->live;
-          if (r2->rem < 0.0) r2->rem = 0.0;
-          r2->last_lambda = lambda;
-          assert(r2->live > 0);
-          --r2->live;
-          r2->usage_local += lambda;
-          r2->max_local = lambda;  // freeze levels are non-decreasing
-          // Drained neighbours (live == 0) join the residue unmarked —
-          // uncoupled components keep pop-only saturation marks, same as
-          // the flat fill.
-        }
-      }
-      assert(r->live == 0);
-    }
-    detect();
-  }
-
-  // --- Piece assignment: BFS over the surviving live flows/resources.
-  // Every live resource still has a live member and vice versa, so the
-  // BFS partitions exactly the unfrozen remainder.
-  if (piece_flow_stamp_.size() < slab_.size()) {
-    piece_flow_stamp_.resize(slab_.size(), 0);
-    piece_of_slot_.resize(slab_.size(), 0);
-  }
-  const std::uint64_t btoken = ++epoch_;
-  piece_of_res_.assign(nr, kNone);
-  std::uint32_t npieces = 0;
-  for (std::uint32_t fi = 0; fi < nf; ++fi) {
-    const std::uint32_t seed = flows[fi];
-    if (freeze_epoch_[seed] == fill) continue;
-    if (piece_flow_stamp_[seed] == btoken) continue;
-    const std::uint32_t pid = npieces++;
-    piece_flow_stamp_[seed] = btoken;
-    piece_of_slot_[seed] = pid;
-    part_flows_.clear();
-    part_flows_.push_back(seed);
-    for (std::size_t qi = 0; qi < part_flows_.size(); ++qi) {
-      const Flow& f = slab_[part_flows_[qi]];
-      for (std::uint32_t j = 0; j < f.res_count; ++j) {
-        Resource* r = f.res[j];
-        const std::uint32_t ord = r->comp_index;
-        if (piece_of_res_[ord] != kNone) continue;
-        piece_of_res_[ord] = pid;
-        const std::uint32_t* lm = local_arena_.data() + r->lmem_off;
-        for (std::uint32_t m = 0; m < r->lmem_cnt; ++m) {
-          const std::uint32_t s2 = lm[m];
-          if (freeze_epoch_[s2] == fill) continue;
-          if (piece_flow_stamp_[s2] == btoken) continue;
-          piece_flow_stamp_[s2] = btoken;
-          piece_of_slot_[s2] = pid;
-          part_flows_.push_back(s2);
-        }
-      }
-    }
-  }
-
-  // --- Stable partition of the parent spans: residue (frozen flows /
-  // exhausted resources) first, then the pieces in id order. Stability
-  // keeps relative order, so within a piece the ordinal ordering — the
-  // heap tie-break — is order-isomorphic to the parent's, and a piece fill
-  // resolves exact-level ties identically to the flat fill.
-  std::vector<std::uint32_t> fcur(npieces + 2, 0);
-  for (std::uint32_t fi = 0; fi < nf; ++fi) {
-    const std::uint32_t slot = flows[fi];
-    const std::uint32_t b =
-        freeze_epoch_[slot] == fill ? 0 : piece_of_slot_[slot] + 1;
-    ++fcur[b + 1];
-  }
-  std::partial_sum(fcur.begin(), fcur.end(), fcur.begin());
-  std::vector<std::uint32_t> fout(fcur.begin(), fcur.end() - 1);
-  part_flows_.resize(nf);
-  for (std::uint32_t fi = 0; fi < nf; ++fi) {
-    const std::uint32_t slot = flows[fi];
-    const std::uint32_t b =
-        freeze_epoch_[slot] == fill ? 0 : piece_of_slot_[slot] + 1;
-    part_flows_[fout[b]++] = slot;
-  }
-  std::copy(part_flows_.begin(), part_flows_.end(),
-            split_flows_.begin() + foff);
-
-  std::vector<std::uint32_t> rcur(npieces + 2, 0);
-  for (std::uint32_t ri = 0; ri < nr; ++ri) {
-    const std::uint32_t b =
-        piece_of_res_[ri] == kNone ? 0 : piece_of_res_[ri] + 1;
-    ++rcur[b + 1];
-  }
-  std::partial_sum(rcur.begin(), rcur.end(), rcur.begin());
-  std::vector<std::uint32_t> rout(rcur.begin(), rcur.end() - 1);
-  part_res_.resize(nr);
-  std::vector<std::uint8_t> piece_pair(npieces, 0);
-  for (std::uint32_t ri = 0; ri < nr; ++ri) {
-    Resource* r = res[ri];
-    const std::uint32_t b =
-        piece_of_res_[ri] == kNone ? 0 : piece_of_res_[ri] + 1;
-    if (b > 0 && r->kind == Resource::Kind::kPair) piece_pair[b - 1] = 1;
-    part_res_[rout[b]++] = ri;
-  }
-  const std::uint32_t first_piece_ci =
-      static_cast<std::uint32_t>(comps_.size());
-  for (std::uint32_t i = 0; i < nr; ++i) {
-    Resource* r = res[part_res_[i]];
-    // Renumber ordinals relative to the sub-span the resource lands in
-    // (residue or piece) and point comp_id at its new component.
-    std::uint32_t b = 0;
-    for (std::uint32_t p = 0; p <= npieces; ++p)
-      if (i < rcur[p + 1]) {
-        b = p;
-        break;
-      }
-    r->comp_index = i - rcur[b];
-    r->comp_id = b == 0 ? ci : first_piece_ci + (b - 1);
-  }
-  // part_res_ holds span positions; materialise the permuted pointer order
-  // through a temporary (the positions index the *old* order).
-  {
-    std::vector<Resource*> tmp(nr);
-    for (std::uint32_t i = 0; i < nr; ++i) tmp[i] = res[part_res_[i]];
-    std::copy(tmp.begin(), tmp.end(), split_res_.begin() + roff);
-  }
-
-  const std::uint32_t nfrozen = fcur[1];
-  const std::uint32_t nfin = rcur[1];
-  comps_[ci].flow_cnt = nfrozen;
-  comps_[ci].res_cnt = nfin;
-  comps_[ci].solved = true;  // rates final; still boundary-validated
-  for (std::uint32_t p = 0; p < npieces; ++p) {
-    CompSpan pc;
-    pc.flow_off = foff + fcur[p + 1];
-    pc.flow_cnt = fcur[p + 2] - fcur[p + 1];
-    pc.res_off = roff + rcur[p + 1];
-    pc.res_cnt = rcur[p + 2] - rcur[p + 1];
-    pc.fill = fill;
-    pc.stamp = comps_[ci].stamp;  // span resources keep the parent's token
-    pc.dirty = true;
-    pc.prepared = true;  // shares the parent's prepared/refreshed state
-    pc.has_pair = piece_pair[p] != 0;
-    pc.has_coupling = false;  // cut-eligible parents are uncoupled
-    assert(pc.flow_cnt > 0 && pc.res_cnt > 0);
-    comps_.push_back(pc);
-  }
-  counters_.split_cuts += total_cuts;
-  counters_.split_pieces += npieces;
-  counters_.filling_rounds += total_cuts;  // each cut is one pop
-  return npieces;
-}
-
 // ------------------------------------------- expansion-round merging --
 
-void FlowNetwork::merge_expansion(std::uint64_t mark, std::size_t fresh_begin) {
+void FlowNetwork::merge_expansion(std::size_t fresh_begin) {
   // Round >= 2 of the expansion loop: instead of re-running the global
   // component BFS, union the freshly expanded flows with the components
   // their resources already belong to. A component span is a BFS closure
@@ -1176,7 +838,6 @@ void FlowNetwork::merge_expansion(std::uint64_t mark, std::size_t fresh_begin) {
   // already), so the merged component is exactly: the absorbed spans +
   // the fresh flows + their brand-new resources — no old member list is
   // walked. Untouched components keep their spans, rates and verdicts.
-  (void)mark;
   const std::size_t nfresh = comp_flows_.size() - fresh_begin;
   assert(nfresh > 0);
   for (CompSpan& c : comps_) c.dirty = false;
@@ -1202,26 +863,7 @@ void FlowNetwork::merge_expansion(std::uint64_t mark, std::size_t fresh_begin) {
     else
       ufp[a] = b;
   };
-  // A peeled component leaves a residue whose frozen flows still cross the
-  // pieces' resources, so residue and piece spans are only closed as a
-  // group. The whole peel tree shares one fill epoch (pieces inherit the
-  // parent's), so absorption is by *fill group*: touching any member pulls
-  // in every live component with the same fill.
-  std::vector<std::uint32_t> group_head(comps_.size(), kNone);
-  {
-    std::unordered_map<std::uint64_t, std::uint32_t> fill_head;
-    fill_head.reserve(comps_.size());
-    for (std::uint32_t cid = 0; cid < comps_.size(); ++cid) {
-      if (comps_[cid].dead) continue;
-      // fill == 0: built by a split this realloc but never refilled (no
-      // fresh flow yet) — not part of any peel tree, its own group.
-      group_head[cid] =
-          comps_[cid].fill == 0
-              ? cid
-              : fill_head.try_emplace(comps_[cid].fill, cid).first->second;
-    }
-  }
-  std::vector<std::uint32_t> comp_node(comps_.size(), kNone);  // by head
+  std::vector<std::uint32_t> comp_node(comps_.size(), kNone);
   const std::uint64_t mtoken = ++epoch_;
   std::vector<Resource*> new_res;          // first-touch order
   std::vector<std::uint32_t> new_res_node;
@@ -1233,12 +875,11 @@ void FlowNetwork::merge_expansion(std::uint64_t mark, std::size_t fresh_begin) {
       const std::uint32_t cid = r->comp_id;
       if (cid < comps_.size() && !comps_[cid].dead &&
           comps_[cid].stamp != 0 && comps_[cid].stamp == r->split_epoch) {
-        const std::uint32_t head = group_head[cid];
-        if (comp_node[head] == kNone) {
-          comp_node[head] = static_cast<std::uint32_t>(ufp.size());
-          ufp.push_back(comp_node[head]);
+        if (comp_node[cid] == kNone) {
+          comp_node[cid] = static_cast<std::uint32_t>(ufp.size());
+          ufp.push_back(comp_node[cid]);
         }
-        uf_union(fnode, comp_node[head]);
+        uf_union(fnode, comp_node[cid]);
       } else if (r->split_epoch == mtoken) {
         uf_union(fnode, r->fill_pos);  // new resource seen this round
       } else {
@@ -1273,10 +914,8 @@ void FlowNetwork::merge_expansion(std::uint64_t mark, std::size_t fresh_begin) {
   }
   std::size_t add_flows = nfresh, add_res = new_res.size();
   for (std::uint32_t cid = 0; cid < comp_node.size(); ++cid) {
-    // Group membership: every comp rides with its head's union class.
-    const std::uint32_t head = group_head[cid];
-    if (head == kNone || comp_node[head] == kNone) continue;
-    merged[class_of[uf_find(comp_node[head])]].comps.push_back(cid);
+    if (comp_node[cid] == kNone) continue;
+    merged[class_of[uf_find(comp_node[cid])]].comps.push_back(cid);
     add_flows += comps_[cid].flow_cnt;
     add_res += comps_[cid].res_cnt;
   }
@@ -1318,901 +957,42 @@ void FlowNetwork::merge_expansion(std::uint64_t mark, std::size_t fresh_begin) {
   }
 }
 
-// ---------------------------------------------------- hierarchical solver --
-
-
-bool FlowNetwork::fill_hierarchical(const CompSpan& comp,
-                                    std::size_t island_jobs,
-                                    std::uint64_t* pops, std::uint64_t* iters,
-                                    std::uint64_t* par_rounds) const {
-  // Decompose an oversubscribed-TOR component along its structure: interior
-  // NIC resources (kTx/kRx) form per-rack *islands* coupled only through
-  // the kRackUp/kRackDown fabric resources. Each island is solved
-  // independently by a *capped* bottleneck elimination — a member flow is
-  // additionally bounded by the levels the rest of the network granted it
-  // in the previous iteration — and each coupling resource recomputes its
-  // single-resource fair share over its capped members; the loop repeats
-  // until every advertised level is stable. This is the classic
-  // bottleneck-ordering fixed point (Bertsekas–Gallager style): after k
-  // iterations the k lowest global bottleneck levels are final, so the
-  // iteration count is bounded by the number of distinct levels, a handful
-  // in practice. DESIGN.md §"Hierarchical water-fill" has the argument and
-  // the fallback conditions.
-  //
-  // Everything here is derived from the component *shape* (ordinals,
-  // span/discovery order) — never from absolute ids — so a memoized
-  // hierarchical fill replays bit-for-bit on an isomorphic component.
-  // Failure (no decomposable structure, unexpected shape, non-convergence)
-  // returns false with the prepared resource state untouched; the caller
-  // falls back to the flat exact fill.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::uint32_t* flows = split_flows_.data() + comp.flow_off;
-  Resource* const* res = split_res_.data() + comp.res_off;
-  const std::uint32_t nf = comp.flow_cnt;
-  const std::uint32_t nr = comp.res_cnt;
-
-  const auto is_coupling = [](const Resource* r) {
-    return r->kind == Resource::Kind::kRackUp ||
-           r->kind == Resource::Kind::kRackDown;
-  };
-
-  // --- Islands: union-find over interior ordinals. A flow crossing no
-  // coupling resource welds its interiors together (an intra-rack flow's tx
-  // and rx); a fabric-crossing flow does not — it participates in each
-  // touched island as a capped member.
-  std::vector<std::uint32_t> uf(nr);
-  for (std::uint32_t i = 0; i < nr; ++i) uf[i] = i;
-  const auto find = [&uf](std::uint32_t x) {
-    while (uf[x] != x) {
-      uf[x] = uf[uf[x]];
-      x = uf[x];
-    }
-    return x;
-  };
-  for (std::uint32_t i = 0; i < nf; ++i) {
-    const Flow& f = slab_[flows[i]];
-    bool crosses = false;
-    for (std::uint32_t j = 0; j < f.res_count; ++j)
-      if (is_coupling(f.res[j])) {
-        crosses = true;
-        break;
-      }
-    if (crosses) continue;
-    std::uint32_t root = kNone;
-    for (std::uint32_t j = 0; j < f.res_count; ++j) {
-      const std::uint32_t o = find(f.res[j]->comp_index);
-      if (root == kNone)
-        root = o;
-      else if (o != root)
-        uf[o] = root;
-    }
-  }
-  // Island numbering in first-occurrence (ordinal) order — shape-canonical.
-  std::vector<std::uint32_t> island_of(nr, kNone);
-  std::vector<std::uint32_t> island_id(nr, kNone);
-  std::uint32_t nisl = 0;
-  for (std::uint32_t i = 0; i < nr; ++i) {
-    if (is_coupling(res[i])) continue;
-    assert(res[i]->kind == Resource::Kind::kTx ||
-           res[i]->kind == Resource::Kind::kRx);
-    const std::uint32_t root = find(i);
-    if (island_id[root] == kNone) island_id[root] = nisl++;
-    island_of[i] = island_id[root];
-  }
-  if (nisl < 2) return false;  // one island + couplings: nothing to gain
-
-  // --- Per-flow incidence: up to two interior sides (tx rack, rx rack; an
-  // intra-rack flow has one welded side) and up to two coupling resources.
-  struct Side {
-    std::uint32_t isl = 0;
-    std::uint32_t ires[2] = {0, 0};
-    std::uint32_t mpos = 0;  // position in the island member arena
-    std::uint8_t cnt = 0;
-  };
-  struct HFlow {
-    Side side[2];
-    std::uint32_t cpl[2] = {0, 0};
-    std::uint8_t nsides = 0;
-    std::uint8_t ncpl = 0;
-  };
-  std::vector<HFlow> hf(nf);
-  for (std::uint32_t i = 0; i < nf; ++i) {
-    const Flow& f = slab_[flows[i]];
-    HFlow& h = hf[i];
-    for (std::uint32_t j = 0; j < f.res_count; ++j) {
-      const std::uint32_t ord = f.res[j]->comp_index;
-      if (is_coupling(f.res[j])) {
-        if (h.ncpl == 2) return false;
-        h.cpl[h.ncpl++] = ord;
-        continue;
-      }
-      const std::uint32_t isl = island_of[ord];
-      std::uint8_t s = 0;
-      for (; s < h.nsides; ++s)
-        if (h.side[s].isl == isl) break;
-      if (s == h.nsides) {
-        if (h.nsides == 2) return false;  // unexpected shape
-        h.side[s].isl = isl;
-        ++h.nsides;
-      }
-      if (h.side[s].cnt == 2) return false;
-      h.side[s].ires[h.side[s].cnt++] = ord;
-    }
-    if (h.nsides == 0) return false;
-  }
-
-  // --- Island member arena (flow-span order within each island) and
-  // per-interior-resource member-position lists, both shape-canonical.
-  std::vector<std::uint32_t> ioff(nisl + 1, 0);
-  for (std::uint32_t i = 0; i < nf; ++i)
-    for (std::uint8_t s = 0; s < hf[i].nsides; ++s)
-      ++ioff[hf[i].side[s].isl + 1];
-  std::partial_sum(ioff.begin(), ioff.end(), ioff.begin());
-  const std::uint32_t nmem = ioff[nisl];
-  std::vector<std::uint32_t> mem_flow(nmem);
-  std::vector<std::uint8_t> mem_side(nmem);
-  {
-    std::vector<std::uint32_t> cur(ioff.begin(), ioff.end() - 1);
-    for (std::uint32_t i = 0; i < nf; ++i)
-      for (std::uint8_t s = 0; s < hf[i].nsides; ++s) {
-        const std::uint32_t p = cur[hf[i].side[s].isl]++;
-        mem_flow[p] = i;
-        mem_side[p] = s;
-        hf[i].side[s].mpos = p;
-      }
-  }
-  std::vector<std::uint32_t> roff(nr + 1, 0);
-  for (std::uint32_t p = 0; p < nmem; ++p) {
-    const Side& sd = hf[mem_flow[p]].side[mem_side[p]];
-    for (std::uint8_t c = 0; c < sd.cnt; ++c) ++roff[sd.ires[c] + 1];
-  }
-  std::partial_sum(roff.begin(), roff.end(), roff.begin());
-  std::vector<std::uint32_t> rmem(roff[nr]);
-  {
-    std::vector<std::uint32_t> cur(roff.begin(), roff.end() - 1);
-    for (std::uint32_t p = 0; p < nmem; ++p) {
-      const Side& sd = hf[mem_flow[p]].side[mem_side[p]];
-      for (std::uint8_t c = 0; c < sd.cnt; ++c) rmem[cur[sd.ires[c]]++] = p;
-    }
-  }
-  // Per-island interior resource lists, ordinal order.
-  std::vector<std::uint32_t> irl_off(nisl + 1, 0);
-  for (std::uint32_t i = 0; i < nr; ++i)
-    if (island_of[i] != kNone) ++irl_off[island_of[i] + 1];
-  std::partial_sum(irl_off.begin(), irl_off.end(), irl_off.begin());
-  std::vector<std::uint32_t> irl(irl_off[nisl]);
-  {
-    std::vector<std::uint32_t> cur(irl_off.begin(), irl_off.end() - 1);
-    for (std::uint32_t i = 0; i < nr; ++i)
-      if (island_of[i] != kNone) irl[cur[island_of[i]]++] = i;
-  }
-  // Coupling ordinals and slot -> span-index map for their member lists.
-  std::vector<std::uint32_t> couplings;
-  for (std::uint32_t i = 0; i < nr; ++i)
-    if (is_coupling(res[i])) couplings.push_back(i);
-  std::vector<std::uint32_t> idx_of_slot(slab_.size(), kNone);
-  for (std::uint32_t i = 0; i < nf; ++i) idx_of_slot[flows[i]] = i;
-
-  // --- Iteration state. Resource scratch is indexed by ordinal; islands
-  // are resource-disjoint, so the arrays are shared across island solves.
-  std::vector<double> lvl(nmem, kInf), prev_lvl(nmem, kInf);
-  std::vector<double> cap(nmem);
-  std::vector<std::uint32_t> bnm(nmem, kNone);  // freezing ordinal / kNone
-  std::vector<std::uint8_t> frozen(nmem, 0);
-  // Per-island-resource saturation level this iteration (inf: the resource
-  // ended the island solve with capacity to spare).
-  std::vector<double> rlam(nr, kInf);
-  std::vector<double> lam(nr, kInf), lam_new(nr, kInf);
-  std::vector<std::uint8_t> lam_sat(nr, 0);
-  std::vector<double> rem(nr), lastl(nr), hkey(nr);
-  std::vector<std::uint32_t> live(nr), hpos(nr, kNone);
-  std::vector<std::pair<double, std::uint32_t>> ccaps;
-
-  // --- One island's capped bottleneck elimination. Reads prev_lvl/lam/cap
-  // (frozen for the duration of a Jacobi round) and writes only
-  // island-disjoint slices: ordinal-indexed scratch (rem/live/lastl/rlam/
-  // hkey/hpos) of its own interiors and member-position-indexed state
-  // (frozen/lvl/bnm) of its own member range. The heap and freeze order
-  // live entirely in the caller-provided hvec/order, so island solves of
-  // one round run concurrently and bit-identically in any interleaving.
-  // Returns false on the degenerate nothing-binds shape.
-  const auto solve_island = [&](std::uint32_t isl,
-                                std::vector<std::uint32_t>& hvec,
-                                std::vector<std::uint32_t>& order,
-                                std::uint64_t& pop_out) -> bool {
-    const auto hless = [&hkey](std::uint32_t a, std::uint32_t b) {
-      if (hkey[a] != hkey[b]) return hkey[a] < hkey[b];
-      return a < b;
-    };
-    const auto hsift_up = [&](std::uint32_t pos) {
-      const std::uint32_t v = hvec[pos];
-      while (pos > 0) {
-        const std::uint32_t parent = (pos - 1) / 2;
-        if (!hless(v, hvec[parent])) break;
-        hvec[pos] = hvec[parent];
-        hpos[hvec[pos]] = pos;
-        pos = parent;
-      }
-      hvec[pos] = v;
-      hpos[v] = pos;
-    };
-    const auto hsift_down = [&](std::uint32_t pos) {
-      const auto size = static_cast<std::uint32_t>(hvec.size());
-      const std::uint32_t v = hvec[pos];
-      while (true) {
-        std::uint32_t child = 2 * pos + 1;
-        if (child >= size) break;
-        if (child + 1 < size && hless(hvec[child + 1], hvec[child])) ++child;
-        if (!hless(hvec[child], v)) break;
-        hvec[pos] = hvec[child];
-        hpos[hvec[pos]] = pos;
-        pos = child;
-      }
-      hvec[pos] = v;
-      hpos[v] = pos;
-    };
-    const auto hremove = [&](std::uint32_t ord) {
-      const std::uint32_t pos = hpos[ord];
-      const std::uint32_t last = hvec.back();
-      hvec.pop_back();
-      hpos[ord] = kNone;
-      if (last != ord) {
-        hvec[pos] = last;
-        hpos[last] = pos;
-        hsift_down(pos);
-        hsift_up(hpos[last]);
-      }
-    };
-    double lambda = 0.0;
-    const auto refresh = [&](std::uint32_t ord) {
-      rem[ord] -= (lambda - lastl[ord]) * live[ord];
-      if (rem[ord] < 0.0) rem[ord] = 0.0;
-      lastl[ord] = lambda;
-    };
-    // Detach a freezing member from its island resources: capacity
-    // consumed, degree down, heap key up (skip: the resource doing the
-    // freezing).
-    const auto detach = [&](std::uint32_t p, std::uint32_t skip) {
-      const Side& sd = hf[mem_flow[p]].side[mem_side[p]];
-      for (std::uint8_t c = 0; c < sd.cnt; ++c) {
-        const std::uint32_t o = sd.ires[c];
-        if (o == skip) continue;
-        refresh(o);
-        assert(live[o] > 0);
-        --live[o];
-        if (live[o] == 0) {
-          hremove(o);
-        } else {
-          hkey[o] = lambda + rem[o] / live[o];
-          hsift_down(hpos[o]);
-          hsift_up(hpos[o]);
-        }
-      }
-    };
-
-    hvec.clear();
-    for (std::uint32_t k = irl_off[isl]; k < irl_off[isl + 1]; ++k) {
-      const std::uint32_t ord = irl[k];
-      rem[ord] = res[ord]->rem;
-      live[ord] = res[ord]->live;
-      lastl[ord] = 0.0;
-      rlam[ord] = kInf;
-      hkey[ord] = rem[ord] / live[ord];
-      hpos[ord] = static_cast<std::uint32_t>(hvec.size());
-      hvec.push_back(ord);
-    }
-    if (hvec.size() > 1)
-      for (auto i = static_cast<std::int64_t>(hvec.size() / 2) - 1; i >= 0;
-           --i)
-        hsift_down(static_cast<std::uint32_t>(i));
-    const std::uint32_t mbeg = ioff[isl], mend = ioff[isl + 1];
-    order.resize(mend - mbeg);
-    std::iota(order.begin(), order.end(), mbeg);
-    std::sort(order.begin(), order.end(),
-              [&cap](std::uint32_t a, std::uint32_t b) {
-                if (cap[a] != cap[b]) return cap[a] < cap[b];
-                return a < b;
-              });
-    for (std::uint32_t p = mbeg; p < mend; ++p) frozen[p] = 0;
-    std::uint32_t unf = mend - mbeg;
-    std::size_t ci = 0;
-    while (unf > 0) {
-      while (ci < order.size() && frozen[order[ci]]) ++ci;
-      const double cnext = ci < order.size() ? cap[order[ci]] : kInf;
-      if (hvec.empty()) {
-        if (cnext == kInf) return false;  // degenerate: nothing binds
-      }
-      if (hvec.empty() || cnext <= hkey[hvec.front()]) {
-        // External constraint binds first: freeze at the cap.
-        const std::uint32_t p = order[ci++];
-        lambda = cnext;
-        frozen[p] = 1;
-        lvl[p] = cnext;
-        bnm[p] = kNone;
-        --unf;
-        detach(p, kNone);
-      } else {
-        // This island resource saturates next: freeze its remaining
-        // members at the fair share.
-        ++pop_out;
-        const std::uint32_t ord = hvec.front();
-        hremove(ord);
-        refresh(ord);
-        assert(live[ord] > 0);
-        lambda += rem[ord] / live[ord];
-        rem[ord] = 0.0;
-        lastl[ord] = lambda;
-        rlam[ord] = lambda;
-        for (std::uint32_t k = roff[ord]; k < roff[ord + 1]; ++k) {
-          const std::uint32_t p = rmem[k];
-          if (frozen[p]) continue;
-          frozen[p] = 1;
-          lvl[p] = lambda;
-          bnm[p] = ord;
-          --unf;
-          detach(p, ord);
-        }
-        live[ord] = 0;
-      }
-    }
-    // Advertised level = the constraint THIS island imposes on the
-    // member: the lowest saturation level among its interior resources,
-    // inf when none saturated. A cap-frozen member must never advertise
-    // the cap itself — that echoes the *other* side's stale value back
-    // at it, and two cap-frozen sides of one flow then mirror each
-    // other's levels in a permanent two-cycle instead of converging.
-    // (The saturation levels are still computed under the caps: a
-    // capped member only consumes its cap here, which is exactly its
-    // consumption at the fixed point.)
-    for (std::uint32_t p = mbeg; p < mend; ++p) {
-      if (bnm[p] != kNone) continue;  // frozen by a saturation: exact
-      const Side& sd = hf[mem_flow[p]].side[mem_side[p]];
-      double best = kInf;
-      std::uint32_t bord = kNone;
-      for (std::uint8_t c = 0; c < sd.cnt; ++c)
-        if (rlam[sd.ires[c]] < best) {
-          best = rlam[sd.ires[c]];
-          bord = sd.ires[c];
-        }
-      lvl[p] = best;
-      bnm[p] = bord;
-    }
-    return true;
-  };
-
-  std::uint64_t pop_count = 0;
-  std::uint64_t par_eligible = 0;
-  bool converged = false;
-  std::size_t it = 0;
-  // Per-island pop counts / failure flags and per-worker heap scratch for
-  // the parallel island dispatch; merged in island order after each round
-  // so the totals are byte-identical for any job count.
-  std::vector<std::uint64_t> isl_pops(nisl, 0);
-  std::vector<std::uint8_t> isl_fail(nisl, 0);
-  const bool par_rounds_eligible =
-      nisl >= 2 && nmem >= kIslandParMinMembers;
-  const std::size_t isl_jobs =
-      par_rounds_eligible ? std::min(island_jobs, std::size_t{nisl}) : 1;
-  std::vector<std::vector<std::uint32_t>> whvec(std::max<std::size_t>(
-      isl_jobs, 1));
-  std::vector<std::vector<std::uint32_t>> worder(whvec.size());
-  for (auto& v : whvec) v.reserve(nr);
-
-  for (; it < kHierMaxIters; ++it) {
-    // Caps from the previous iteration's advertised levels (Jacobi across
-    // islands, so island solves are order-independent).
-    for (std::uint32_t p = 0; p < nmem; ++p) {
-      const HFlow& h = hf[mem_flow[p]];
-      double c = kInf;
-      for (std::uint8_t s = 0; s < h.nsides; ++s) {
-        if (h.side[s].mpos == p) continue;
-        c = std::min(c, prev_lvl[h.side[s].mpos]);
-      }
-      for (std::uint8_t k = 0; k < h.ncpl; ++k)
-        c = std::min(c, lam[h.cpl[k]]);
-      cap[p] = c;
-    }
-    // Island solves: capped bottleneck elimination per island, dispatched
-    // across workers when the round is big enough. The eligibility (and
-    // the counter) depend only on the component shape, never on the
-    // actual job count.
-    if (par_rounds_eligible) ++par_eligible;
-    std::fill(isl_pops.begin(), isl_pops.end(), 0);
-    std::fill(isl_fail.begin(), isl_fail.end(), 0);
-    if (isl_jobs > 1) {
-      util::parallel_for_workers(
-          nisl, isl_jobs, [&](std::size_t w, std::size_t isl) {
-            if (!solve_island(static_cast<std::uint32_t>(isl), whvec[w],
-                              worder[w], isl_pops[isl]))
-              isl_fail[isl] = 1;
-          });
-    } else {
-      for (std::uint32_t isl = 0; isl < nisl; ++isl)
-        if (!solve_island(isl, whvec[0], worder[0], isl_pops[isl]))
-          isl_fail[isl] = 1;
-    }
-    for (std::uint32_t isl = 0; isl < nisl; ++isl) {
-      if (isl_fail[isl]) return false;
-      pop_count += isl_pops[isl];
-    }
-    // Coupling fair shares over members capped by their fresh island levels
-    // and the other coupling's previous share (the exact water level of a
-    // single resource with per-member caps).
-    for (const std::uint32_t ord : couplings) {
-      const Resource* r = res[ord];
-      const std::uint32_t* lm = local_arena_.data() + r->lmem_off;
-      ccaps.clear();
-      for (std::uint32_t k = 0; k < r->lmem_cnt; ++k) {
-        const std::uint32_t i = idx_of_slot[lm[k]];
-        assert(i != kNone);
-        const HFlow& h = hf[i];
-        double c = kInf;
-        for (std::uint8_t s = 0; s < h.nsides; ++s)
-          c = std::min(c, lvl[h.side[s].mpos]);
-        for (std::uint8_t q = 0; q < h.ncpl; ++q)
-          if (h.cpl[q] != ord) c = std::min(c, lam[h.cpl[q]]);
-        ccaps.emplace_back(c, k);
-      }
-      std::sort(ccaps.begin(), ccaps.end());
-      double C = r->rem;
-      auto lv = static_cast<std::uint32_t>(ccaps.size());
-      double l = kInf;
-      bool sat = false;
-      for (const auto& [c, k] : ccaps) {
-        (void)k;
-        if (C < 0.0) C = 0.0;
-        if (c * lv >= C) {
-          l = C / lv;
-          sat = true;
-          break;
-        }
-        C -= c;
-        --lv;
-      }
-      lam_new[ord] = l;
-      lam_sat[ord] = sat ? 1 : 0;
-
-    }
-    // Stability of the full advertised state (levels and coupling shares);
-    // a stable state is a fixed point: re-running the deterministic
-    // iteration reproduces it, so stop.
-    bool stable = it > 0;
-    if (stable) {
-      // Careful with infinities: inf == inf is stable (first test), but an
-      // inf <-> finite flip must NOT pass the relative test (inf > inf and
-      // NaN > x both evaluate false).
-      for (std::uint32_t p = 0; p < nmem && stable; ++p) {
-        const double a = prev_lvl[p], b = lvl[p];
-        if (a == b) continue;  // covers inf == inf
-        if (!std::isfinite(a) || !std::isfinite(b) ||
-            std::abs(a - b) > kHierTol * std::max(std::abs(a), std::abs(b)))
-          stable = false;
-      }
-      for (const std::uint32_t ord : couplings) {
-        const double a = lam[ord], b = lam_new[ord];
-        if (a == b) continue;
-        if (!std::isfinite(a) || !std::isfinite(b) ||
-            std::abs(a - b) > kHierTol * std::max(std::abs(a), std::abs(b))) {
-          stable = false;
-          break;
-        }
-      }
-    }
-    prev_lvl = lvl;
-    for (const std::uint32_t ord : couplings) lam[ord] = lam_new[ord];
-    if (stable) {
-      ++it;
-      converged = true;
-      break;
-    }
-  }
-  if (!converged) return false;
-
-  // --- Finalize: each flow's rate is the lowest *justified* level among
-  // its constraints — a side frozen by an island saturation, or a saturated
-  // coupling share. (A cap-frozen side mirrors one of those through the cap
-  // chain; at the fixed point the values agree to within the stability
-  // tolerance, and picking the justified one keeps every flow bottlenecked
-  // at a saturated resource, which validate_boundary relies on.) Candidate
-  // order is the flow's construction order — shape-canonical — so ties
-  // resolve identically on isomorphic components.
-  for (std::uint32_t i = 0; i < nf; ++i) {
-    const HFlow& h = hf[i];
-    double best = kInf;
-    std::uint32_t bord = kNone;
-    for (std::uint8_t s = 0; s < h.nsides; ++s) {
-      const std::uint32_t p = h.side[s].mpos;
-      if (bnm[p] != kNone && lvl[p] < best) {
-        best = lvl[p];
-        bord = bnm[p];
-      }
-    }
-    for (std::uint8_t q = 0; q < h.ncpl; ++q) {
-      const std::uint32_t ord = h.cpl[q];
-      if (lam_sat[ord] && lam[ord] < best) {
-        best = lam[ord];
-        bord = ord;
-      }
-    }
-    if (bord == kNone || !(best > 0.0) || !std::isfinite(best))
-      return false;  // cannot justify: let the flat fill decide
-    rates_scratch_[flows[i]] = best;
-    bottleneck_scratch_[flows[i]] = res[bord];
-  }
-  // Validation aggregates, same contract as fill_exact: local usage/max per
-  // resource, and the canonical usage-derived saturation mark. Marking only
-  // the resources some flow was *attributed* to is not enough: on a level
-  // tie the attribution is order-dependent, but an exhausted resource that
-  // went unmarked makes validate_boundary skip expansions it needs (its
-  // lambda_local reads as -1), and rates then diverge on a later realloc.
-  for (std::uint32_t ri = 0; ri < nr; ++ri) {
-    Resource* r = res[ri];
-    const std::uint32_t* lm = local_arena_.data() + r->lmem_off;
-    double usage = 0.0, mx = 0.0;
-    for (std::uint32_t k = 0; k < r->lmem_cnt; ++k) {
-      const double v = rates_scratch_[lm[k]];
-      usage += v;
-      if (v > mx) mx = v;
-    }
-    r->usage_local = usage;
-    r->max_local = mx;
-    if (r->usage_b + usage >= r->cap * (1.0 - kExpandTol)) {
-      r->sat_lambda = mx;
-      r->sat_fill = comp.fill;
-    } else if (r->sat_fill == comp.fill) {
-      r->sat_fill = 0;
-    }
-  }
-  *pops = pop_count;
-  *iters = it;
-  *par_rounds = par_eligible;
-  return true;
-}
-
-// ------------------------------------------------------- fill memoization --
-
-std::uint64_t FlowNetwork::memo_fingerprint(
-    const CompSpan& comp, std::vector<std::uint64_t>& key) const {
-  // Canonical component *shape* in discovery order: resources as (kind,
-  // unfrozen degree, residual-capacity bits), flows as the component
-  // ordinals of the resources they cross. No absolute node or resource ids
-  // — a translated copy of the shape (the same pipeline step on a different
-  // set of node pairs) produces the same key, which is where all the hits
-  // in a steady-state schedule come from. Residual capacities are compared
-  // as raw bit patterns — a hit must reproduce a fresh fill bit-for-bit,
-  // so "close" capacities must not collide.
-  const std::uint32_t* flows = split_flows_.data() + comp.flow_off;
-  Resource* const* res = split_res_.data() + comp.res_off;
-  key.clear();
-  key.reserve(2 + (comp.prepared ? 5 : 2) * comp.res_cnt +
-              4 * comp.flow_cnt);
-  key.push_back(topo_version_);
-  key.push_back((static_cast<std::uint64_t>(comp.res_cnt) << 32) |
-                comp.flow_cnt | (comp.prepared ? 1ull << 63 : 0));
-  for (std::uint32_t i = 0; i < comp.res_cnt; ++i) {
-    const Resource* r = res[i];
-    key.push_back((static_cast<std::uint64_t>(r->kind) << 32) | r->live);
-    key.push_back(std::bit_cast<std::uint64_t>(r->rem));
-    if (comp.prepared) {
-      // Peeled pieces carry refreshed per-resource state a fresh prepare
-      // never has; the fill reads last_lambda and validate_boundary reads
-      // the accumulated local aggregates, so two pieces may only share an
-      // entry when those match bit-for-bit too.
-      key.push_back(std::bit_cast<std::uint64_t>(r->last_lambda));
-      key.push_back(std::bit_cast<std::uint64_t>(r->usage_local));
-      key.push_back(std::bit_cast<std::uint64_t>(r->max_local));
-    }
-  }
-  for (std::uint32_t i = 0; i < comp.flow_cnt; ++i) {
-    const Flow& f = slab_[flows[i]];
-    std::uint64_t word = f.res_count;
-    for (std::uint32_t j = 0; j < f.res_count; ++j) {
-      // Ordinals fit in far fewer bits than 12 only for small components;
-      // spill to an extra word when packing would overflow.
-      const std::uint32_t ord = f.res[j]->comp_index;
-      if (word >> 52 || ord >> 12) {
-        key.push_back(word);
-        word = ord;
-      } else {
-        word = (word << 12) | ord;
-      }
-    }
-    key.push_back(word);
-  }
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64
-  for (const std::uint64_t w : key) {
-    h ^= w;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-FlowNetwork::MemoEntry* FlowNetwork::memo_find(
-    std::uint64_t hash, const std::vector<std::uint64_t>& key) {
-  const auto it = memo_index_.find(hash);
-  if (it == memo_index_.end()) return nullptr;
-  MemoEntry& e = memo_entries_[it->second];
-  return e.key == key ? &e : nullptr;
-}
-
-void FlowNetwork::memo_store(std::uint64_t hash,
-                             std::vector<std::uint64_t>&& key,
-                             const CompSpan& comp) {
-  std::uint32_t idx;
-  MemoEntry* e;
-  if (memo_entries_.size() < kMemoCapacity) {
-    idx = static_cast<std::uint32_t>(memo_entries_.size());
-    e = &memo_entries_.emplace_back();
-  } else {
-    // Round-robin ring: deterministic FIFO replacement with no per-hit
-    // bookkeeping. Steady-state schedules cycle through a bounded set of
-    // component shapes, so recency information buys nothing here while an
-    // LRU scan costs O(capacity) per store.
-    idx = static_cast<std::uint32_t>(memo_cursor_);
-    memo_cursor_ = (memo_cursor_ + 1) % kMemoCapacity;
-    e = &memo_entries_[idx];
-    memo_index_.erase(e->hash);
-  }
-  const std::uint32_t* flows = split_flows_.data() + comp.flow_off;
-  Resource* const* res = split_res_.data() + comp.res_off;
-  e->key = std::move(key);
-  e->hash = hash;
-  e->hier = comp.hier;
-  e->rates.resize(comp.flow_cnt);
-  e->bottlenecks.resize(comp.flow_cnt);
-  for (std::uint32_t i = 0; i < comp.flow_cnt; ++i) {
-    const std::uint32_t slot = flows[i];
-    e->rates[i] = rates_scratch_[slot];
-    e->bottlenecks[i] = bottleneck_scratch_[slot]->comp_index;
-  }
-  e->res_aggregates.resize(3 * comp.res_cnt);
-  for (std::uint32_t i = 0; i < comp.res_cnt; ++i) {
-    const Resource* r = res[i];
-    e->res_aggregates[3 * i] = r->usage_local;
-    e->res_aggregates[3 * i + 1] = r->max_local;
-    // sat_fill == comp.fill: saturated during this fill.
-    e->res_aggregates[3 * i + 2] =
-        r->sat_fill == comp.fill
-            ? r->sat_lambda
-            : std::numeric_limits<double>::quiet_NaN();
-  }
-  memo_index_[hash] = idx;  // collisions: newest entry wins the slot
-}
-
-void FlowNetwork::memo_clear() {
-  memo_entries_.clear();
-  memo_index_.clear();
-  memo_cursor_ = 0;
-}
-
-void FlowNetwork::memo_update_probation() {
-  // Workloads whose component shapes or boundary residuals churn every
-  // reallocation never repeat a fingerprint; fingerprinting them is pure
-  // overhead. After a deterministic probation period with almost no hits,
-  // switch the memo off for the rest of the run (set_memoize(true) re-arms
-  // it and starts a fresh probation window).
-  const std::uint64_t window_misses = counters_.memo_misses - memo_miss_mark_;
-  const std::uint64_t window_hits = counters_.memo_hits - memo_hit_mark_;
-  if (window_misses >= kMemoProbation &&
-      window_hits * kMemoMinHitRatio < window_misses) {
-    memo_auto_off_ = true;
-    memo_clear();
-  }
-}
+// ------------------------------------------------------------ fill phase --
 
 void FlowNetwork::fill_dirty_components(std::uint64_t mark) {
-  // Five phases. (1) Serial: prepare each dirty component, peel saturation
-  // cuts off the big uncoupled ones (appending the surviving pieces to
-  // comps_ — the loop bound re-reads comps_.size() so pieces are visited,
-  // and possibly re-peeled, in the same pass), and sort everything into
-  // memo-probe candidates vs direct misses. (2) Parallel: fingerprint the
-  // probe candidates — pure reads of disjoint components into per-probe
-  // key slots. (3) Serial: probe the memo in component order, replay hits,
-  // queue misses. (4) Parallel: fill the misses — each fill reads/writes
-  // only its own resources and flow slots; workers reuse a private heap
-  // across the misses they claim. (5) Serial epilogue: merge counters and
-  // stores in component order (byte-identical for any job count) and
-  // compare the peel oracle, if armed, bit-for-bit.
+  // Two phases. (1) Serial: prepare each dirty component (fresh fill epoch,
+  // arena slices, residual capacities) and queue it. (2) Possibly parallel:
+  // fill the queue — each fill reads/writes only its own resources and
+  // flow slots, and workers reuse a private heap across the fills they
+  // claim. Pops are parked per fill and summed serially afterwards, so the
+  // counters are byte-identical for any job count.
   local_arena_.clear();
   boundary_arena_.clear();
-  miss_comps_.clear();
-  miss_keys_.clear();
-  miss_hashes_.clear();
-  probe_comps_.clear();
-  const bool memo_on = memoize_ && !memo_auto_off_;
+  fill_comps_.clear();
+  std::size_t total_flows = 0;
   for (std::uint32_t ci = 0; ci < comps_.size(); ++ci) {
-    // Index access throughout: peel_and_split appends to comps_.
-    if (!comps_[ci].dirty || comps_[ci].dead) continue;
+    CompSpan& comp = comps_[ci];
+    if (!comp.dirty || comp.dead) continue;
     ++counters_.component_fills;
     counters_.max_component =
-        std::max<std::uint64_t>(counters_.max_component, comps_[ci].flow_cnt);
-    // Peeled pieces arrive prepared: their resources carry the refreshed
-    // (rem, live, last_lambda) state the cut freezes left, which a
-    // re-prepare would destroy.
-    if (!comps_[ci].prepared) fill_prepare(comps_[ci], mark, ci);
-    comps_[ci].hier = false;
-    if (!comps_[ci].has_coupling && comps_[ci].flow_cnt >= cut_min_flows_) {
-      peel_and_split(ci, mark);
-      // Peel applied: the residue's rates froze during the peel and the
-      // pieces queued behind it; nothing left to fill under this index.
-      if (comps_[ci].solved) continue;
-    }
-    CompSpan& comp = comps_[ci];
-    if (!memo_on || comp.flow_cnt < memo_min_flows_) {
-      miss_comps_.push_back(ci);
-      miss_hashes_.push_back(0);
-      miss_keys_.emplace_back();  // empty key: not memo-eligible, no store
-      continue;
-    }
-    probe_comps_.push_back(ci);
+        std::max<std::uint64_t>(counters_.max_component, comp.flow_cnt);
+    fill_prepare(comp, mark);
+    fill_comps_.push_back(ci);
+    total_flows += comp.flow_cnt;
   }
-
-  // Phase 2: fingerprints. Each probe writes its own key slot and only
-  // reads its component, so the hash work parallelises; probing the table
-  // itself stays serial below.
-  const std::size_t nprobe = probe_comps_.size();
-  probe_hashes_.assign(nprobe, 0);
-  probe_keys_.resize(nprobe);
-  std::size_t probe_flows = 0;
-  for (std::size_t pi = 0; pi < nprobe; ++pi)
-    probe_flows += comps_[probe_comps_[pi]].flow_cnt;
-  if (fill_jobs_ > 1 && nprobe > 1 && probe_flows >= kParallelMinFlows) {
-    util::parallel_for(nprobe, fill_jobs_, [&](std::size_t pi) {
-      probe_hashes_[pi] =
-          memo_fingerprint(comps_[probe_comps_[pi]], probe_keys_[pi]);
-    });
-  } else {
-    for (std::size_t pi = 0; pi < nprobe; ++pi)
-      probe_hashes_[pi] =
-          memo_fingerprint(comps_[probe_comps_[pi]], probe_keys_[pi]);
-  }
-
-  // Phase 3: serial memo probe in component order.
-  for (std::size_t pi = 0; pi < nprobe; ++pi) {
-    const std::uint32_t ci = probe_comps_[pi];
-    CompSpan& comp = comps_[ci];
-    const std::uint64_t hash = probe_hashes_[pi];
-    if (MemoEntry* e = memo_find(hash, probe_keys_[pi])) {
-      ++counters_.memo_hits;
-      const std::uint32_t* flows = split_flows_.data() + comp.flow_off;
-      Resource* const* res = split_res_.data() + comp.res_off;
-      if (cross_check_) {
-        // Replay the fill with the solver that produced the entry
-        // (uncounted: validation, not production work) and demand the
-        // cached vector bit-for-bit — any divergence means the fingerprint
-        // missed state the fill depends on. The replay leaves rates,
-        // bottlenecks and aggregates exactly as the hit would.
-        bool ok = true;
-        if (e->hier) {
-          std::uint64_t p = 0, q = 0, pr = 0;
-          ok = fill_hierarchical(comp, 1, &p, &q, &pr);
-        } else {
-          fill_exact(comp, res_heap_);
-        }
-        for (std::uint32_t i = 0; ok && i < comp.flow_cnt; ++i) {
-          const std::uint32_t slot = flows[i];
-          if (rates_scratch_[slot] != e->rates[i] ||
-              bottleneck_scratch_[slot] != res[e->bottlenecks[i]])
-            ok = false;
-        }
-        if (!ok) {
-          std::fprintf(stderr,
-                       "FlowNetwork: memoized fill diverged from fresh fill "
-                       "(t=%.9f, comp=%u flows)\n",
-                       sim_.now(), comp.flow_cnt);
-          std::abort();
-        }
-        continue;
-      }
-      for (std::uint32_t i = 0; i < comp.flow_cnt; ++i) {
-        const std::uint32_t slot = flows[i];
-        rates_scratch_[slot] = e->rates[i];
-        bottleneck_scratch_[slot] = res[e->bottlenecks[i]];
-      }
-      // Replay the local-side validation aggregates so validate_boundary
-      // sees exactly the state a fresh fill would have left.
-      for (std::uint32_t i = 0; i < comp.res_cnt; ++i) {
-        Resource* r = res[i];
-        r->usage_local = e->res_aggregates[3 * i];
-        r->max_local = e->res_aggregates[3 * i + 1];
-        const double lamv = e->res_aggregates[3 * i + 2];
-        if (!std::isnan(lamv)) {
-          r->sat_lambda = lamv;
-          r->sat_fill = comp.fill;
-        }
-        // NaN: drained unsaturated; sat_fill keeps an older epoch and can
-        // never equal the strictly increasing current fill.
-      }
-      continue;
-    }
-    ++counters_.memo_misses;
-    miss_comps_.push_back(ci);
-    miss_hashes_.push_back(hash);
-    miss_keys_.push_back(std::move(probe_keys_[pi]));
-  }
-
-  const std::size_t nmiss = miss_comps_.size();
-  if (nmiss == 0) {
-    memo_update_probation();
-    peel_oracle_compare();
-    return;
-  }
-  miss_pops_.assign(nmiss, 0);
-  miss_iters_.assign(nmiss, 0);
-  miss_par_.assign(nmiss, 0);
-  miss_fb_.assign(nmiss, 0);
-  const auto run_one = [this](std::size_t mi, std::vector<Resource*>& heap,
-                              std::size_t island_jobs) {
-    CompSpan& comp = comps_[miss_comps_[mi]];
-    if (hierarchical_ && comp.has_coupling && !comp.has_pair &&
-        comp.flow_cnt >= hier_min_flows_) {
-      std::uint64_t pops = 0, its = 0, par = 0;
-      if (fill_hierarchical(comp, island_jobs, &pops, &its, &par)) {
-        comp.hier = true;
-        miss_pops_[mi] = pops;
-        miss_iters_[mi] = its;
-        miss_par_[mi] = par;
-        return;
-      }
-      miss_fb_[mi] = 1;
-    }
-    miss_pops_[mi] = fill_exact(comp, heap);
-  };
-  std::size_t total_flows = 0;
-  for (std::size_t mi = 0; mi < nmiss; ++mi)
-    total_flows += comps_[miss_comps_[mi]].flow_cnt;
-  if (fill_jobs_ > 1 && nmiss > 1 && total_flows >= kParallelMinFlows) {
-    // Component-level parallelism claims the workers; rack islands inside
-    // each component solve serially (island_jobs 1) rather than spawning a
-    // nested pool.
+  const std::size_t nfill = fill_comps_.size();
+  fill_pops_.assign(nfill, 0);
+  if (fill_jobs_ > 1 && nfill > 1 && total_flows >= kParallelMinFlows) {
     worker_heaps_.resize(fill_jobs_);
     util::parallel_for_workers(
-        nmiss, fill_jobs_, [&](std::size_t w, std::size_t mi) {
-          run_one(mi, worker_heaps_[w], 1);
+        nfill, fill_jobs_, [&](std::size_t w, std::size_t i) {
+          fill_pops_[i] = fill_exact(comps_[fill_comps_[i]], worker_heaps_[w]);
         });
   } else {
-    for (std::size_t mi = 0; mi < nmiss; ++mi)
-      run_one(mi, res_heap_, fill_jobs_);
+    for (std::size_t i = 0; i < nfill; ++i)
+      fill_pops_[i] = fill_exact(comps_[fill_comps_[i]], res_heap_);
   }
-  for (std::size_t mi = 0; mi < nmiss; ++mi) {
-    const CompSpan& comp = comps_[miss_comps_[mi]];
-    counters_.filling_rounds += miss_pops_[mi];
-    if (comp.hier) {
-      ++counters_.hier_fills;
-      counters_.hier_rounds += miss_iters_[mi];
-      counters_.island_par_rounds += miss_par_[mi];
-    } else if (miss_fb_[mi]) {
-      ++counters_.hier_fallbacks;
-    }
-    if (!miss_keys_[mi].empty())
-      memo_store(miss_hashes_[mi], std::move(miss_keys_[mi]), comp);
-  }
-  memo_update_probation();
-  peel_oracle_compare();
-}
-
-void FlowNetwork::peel_oracle_compare() {
-  // Under set_cross_check, peel_and_split ran the flat fill over each
-  // to-be-split component before peeling and parked its verdicts; by now
-  // the peel + piece fills (or memo replays, themselves bit-checked above)
-  // have rewritten every one of those flows' scratch slots. The split
-  // claims byte equality, so compare rates AND bottleneck identity
-  // bitwise.
-  if (oracle_slots_.empty()) return;
-  for (std::size_t i = 0; i < oracle_slots_.size(); ++i) {
-    const std::uint32_t slot = oracle_slots_[i];
-    if (rates_scratch_[slot] != oracle_rates_[i] ||
-        bottleneck_scratch_[slot] != oracle_bns_[i]) {
-      std::fprintf(stderr,
-                   "FlowNetwork: saturation-cut split diverged from flat "
-                   "fill (t=%.9f, slot=%u, %.17g vs %.17g)\n",
-                   sim_.now(), slot, rates_scratch_[slot], oracle_rates_[i]);
-      std::abort();
-    }
-  }
-  oracle_slots_.clear();
-  oracle_rates_.clear();
-  oracle_bns_.clear();
+  for (const std::uint64_t pops : fill_pops_) counters_.filling_rounds += pops;
 }
 
 // --------------------------------------------------- progressive oracle --
@@ -2333,7 +1113,7 @@ bool FlowNetwork::rates_match_full_recompute(double rel_tol,
     comp.res_cnt = static_cast<std::uint32_t>(all_resources.size());
     local_arena_.clear();
     boundary_arena_.clear();
-    fill_prepare(comp, 0, 0);  // ci 0: comps_ is empty, never revalidated
+    fill_prepare(comp, 0);
     fill_exact(comp, res_heap_);  // rounds deliberately uncounted
   } else {
     water_fill_progressive(all_flows, all_resources);

@@ -26,18 +26,18 @@
 //     recomputation of the affected connected component;
 //   * the affected set is split into its *connected components* (flows
 //     linked through shared in-set resources) and every component is
-//     prepared, memo-probed, filled and boundary-validated independently.
-//     At a lock-step boundary the local set is a union of hundreds of
-//     disjoint few-flow components — one per completing/starting transfer
-//     pair — which the pre-split code filled as one giant joint heap fill.
-//     Splitting makes the cost Σ O(k_i log k_i) instead of O(K log K),
-//     lets an expansion round refill only the components that actually
-//     grew (everyone else's scratch rates and aggregates stand), and makes
-//     the fills *independent*: with set_fill_jobs(N > 1), missed component
-//     fills of one round run on the shared util::parallel_for pool.
-//     Components are dispatched and their results merged in canonical
-//     component order and each worker fills into disjoint slot/resource
-//     scratch, so counters, rates and traces are byte-identical for any N;
+//     prepared, filled and boundary-validated independently. At a
+//     lock-step boundary the local set is a union of hundreds of disjoint
+//     few-flow components — one per completing/starting transfer pair —
+//     which one joint fill would handle as a single giant heap. Splitting
+//     makes the cost Σ O(k_i log k_i) instead of O(K log K), lets an
+//     expansion round refill only the components that actually grew
+//     (everyone else's scratch rates and aggregates stand), and makes the
+//     fills *independent*: with set_fill_jobs(N > 1), the component fills
+//     of one round run on the shared util::parallel_for pool. Components
+//     are dispatched and their results merged in canonical component
+//     order and each worker fills into disjoint slot/resource scratch, so
+//     counters, rates and traces are byte-identical for any N;
 //   * each fill runs the *exact bottleneck-elimination* algorithm: every
 //     resource sits in an indexed min-heap keyed by its saturation level
 //     (residual capacity / unfrozen degree); the minimum pops, its flows
@@ -45,31 +45,6 @@
 //     capacity and degree are decremented in place (one sift per incidence,
 //     no stale entries). A fill costs O((F + R) log R) and the number of
 //     heap pops equals the number of saturating resources;
-//   * components spanning oversubscribed racks are solved *hierarchically*
-//     (see DESIGN.md §"Hierarchical water-fill"): interior NIC resources
-//     are grouped into islands (per-rack sub-problems) coupled only through
-//     the kRackUp/kRackDown uplink resources; islands are solved
-//     independently by a capped bottleneck elimination and a small fixed
-//     point iterates the uplink fair shares until the advertised levels
-//     stabilise. The flat exact fill remains both the fallback (pair caps,
-//     non-convergence, small components) and — with the progressive oracle
-//     behind set_cross_check — the correctness gate;
-//   * steady-state fills are memoized at *shape level*: pipelined schedules
-//     (binomial pipeline, chain) re-create isomorphic components over and
-//     over as the block step advances across node pairs. Each prepared
-//     component is fingerprinted by its canonical shape — resources as
-//     (kind, unfrozen degree, residual-capacity bits) and flows as the
-//     component-relative ordinals of the resources they cross, all in
-//     discovery order, with no absolute node or resource ids (an earlier
-//     fingerprint leaked absolute ids, so translated copies of one shape
-//     never matched and the cache sat dead). Since the fill arithmetic is a
-//     pure function of that shape (heap ties break on component ordinals,
-//     not global ids), a hit replays the cached rate/bottleneck vector in
-//     O(F) bit-for-bit; the cache is dropped on topology mutations, tiny
-//     components bypass it, and a workload whose shapes never repeat
-//     deterministically disables the cache after a probation window
-//     (re-armed by set_memoize(true)) so it stops paying for
-//     fingerprinting;
 //   * the incidence-bound loops read hot per-flow state from dense
 //     slot-indexed vectors, each fill splits every resource's member list
 //     into local/boundary arenas once, and boundary validation runs off
@@ -80,9 +55,7 @@
 //   * in assert-enabled builds (or via set_cross_check) every incremental
 //     recomputation is validated against a from-scratch full water-filling
 //     by the *old progressive* algorithm, which is kept, unoptimized, as
-//     the independent oracle; memo hits are additionally replayed against a
-//     fresh fill by the solver that produced them and must match
-//     bit-for-bit.
+//     the independent oracle.
 #pragma once
 
 #include <cstddef>
@@ -140,19 +113,15 @@ class FlowNetwork {
     std::uint64_t flow_completions = 0;
     std::uint64_t flow_aborts = 0;
     std::uint64_t cross_checks = 0;    // debug full-recompute validations
-    std::uint64_t memo_hits = 0;       // fills answered from the cache
-    std::uint64_t memo_misses = 0;     // memo-eligible fills computed fresh
-    std::uint64_t component_fills = 0; // independent component fills/hits
-    std::uint64_t hier_fills = 0;      // components solved hierarchically
-    std::uint64_t hier_rounds = 0;     // uplink fixed-point iterations
-    std::uint64_t hier_fallbacks = 0;  // hierarchical gave up -> flat fill
-    std::uint64_t split_cuts = 0;      // saturation cuts peeled from fills
-    std::uint64_t split_pieces = 0;    // sub-components created by peeling
-    /// Hierarchical island rounds *eligible* for parallel dispatch (enough
-    /// islands and members). Counts eligibility, not actual dispatch, so
-    /// the value is identical for any set_fill_jobs value — the counters
-    /// block is part of the byte-identical-output contract.
-    std::uint64_t island_par_rounds = 0;
+    std::uint64_t component_fills = 0; // independent component fills
+    // Retired, always 0: the shape memo, the rack-island solver and the
+    // saturation-cut splitter these counted are gone. Kept only so the
+    // benchmark sources that still read them (perfbench) compile.
+    std::uint64_t memo_hits = 0;
+    std::uint64_t memo_misses = 0;
+    std::uint64_t hier_fills = 0;
+    std::uint64_t hier_fallbacks = 0;
+    std::uint64_t split_cuts = 0;
   };
   const Counters& counters() const { return counters_; }
   std::uint64_t reallocations() const { return counters_.reallocations; }
@@ -160,28 +129,9 @@ class FlowNetwork {
 
   /// When enabled, every incremental recomputation is cross-checked against
   /// a from-scratch full water-filling by the progressive (oracle)
-  /// algorithm, and every memo hit against a fresh fill by the solver that
-  /// produced it; divergence aborts. Defaults to on in assert-enabled
-  /// builds, off in NDEBUG builds.
+  /// algorithm; divergence aborts. Defaults to on in assert-enabled builds,
+  /// off in NDEBUG builds.
   void set_cross_check(bool on) { cross_check_ = on; }
-
-  /// Steady-state fill memoization (default on). Components smaller than
-  /// `min_flows` bypass the cache — fingerprinting a two-flow fill costs
-  /// more than filling it. set_memoize(true) also re-arms the deterministic
-  /// auto-disable: the hit/miss marks reset so a fresh probation window
-  /// starts (a workload whose shapes never repeat stops paying for them);
-  /// set_memoize(false) leaves the probation state untouched.
-  void set_memoize(bool on) {
-    memoize_ = on;
-    if (on) {
-      memo_auto_off_ = false;
-      memo_hit_mark_ = counters_.memo_hits;
-      memo_miss_mark_ = counters_.memo_misses;
-    }
-  }
-  void set_memo_min_flows(std::size_t min_flows) {
-    memo_min_flows_ = min_flows;
-  }
 
   /// Worker threads for component-parallel filling inside one reallocation
   /// (default 1 = inline). Results are byte-identical for any value: the
@@ -189,25 +139,6 @@ class FlowNetwork {
   /// disjoint scratch, dispatched and merged in canonical component order.
   void set_fill_jobs(std::size_t jobs) { fill_jobs_ = jobs ? jobs : 1; }
   std::size_t fill_jobs() const { return fill_jobs_; }
-
-  /// Hierarchical (island/uplink fixed point) solving of rack-spanning
-  /// components (default on; engages only for components that cross
-  /// kRackUp/kRackDown resources, carry no pair caps, and have at least
-  /// `set_hier_min_flows` flows).
-  void set_hierarchical(bool on) { hierarchical_ = on; }
-  void set_hier_min_flows(std::size_t min_flows) {
-    hier_min_flows_ = min_flows;
-  }
-
-  /// Minimum component size for schedule-aware splitting: uncoupled
-  /// components with at least this many flows are scanned for saturation
-  /// cuts before filling, and peeled into independently solved pieces when
-  /// cuts exist (see DESIGN.md §"Saturation-cut splitting"). The results
-  /// are bit-identical to the flat fill for any value; tests lower it to
-  /// exercise the split path on small components.
-  void set_cut_min_flows(std::size_t min_flows) {
-    cut_min_flows_ = min_flows;
-  }
 
   /// Recompute every rate from scratch (ignoring the incremental state) and
   /// compare with the incrementally maintained rates. True when every flow
@@ -244,17 +175,15 @@ class FlowNetwork {
     std::uint64_t visit_epoch = 0;
     std::uint64_t split_epoch = 0;  // component-split BFS stamp
     // Exact-fill scratch: indexed-heap position/key and the resource's
-    // ordinal in the component being filled (heap tie-break and memo
-    // bottleneck encoding — component-relative so isomorphic shapes fill
-    // identically).
+    // ordinal in the component being filled (the heap tie-break).
     std::uint32_t fill_pos = kNone;
     double fill_key = 0.0;
     std::uint32_t comp_index = 0;
-    /// Index into comps_ of the component this resource was last prepared
-    /// (or peeled/merged) into. Valid only when comps_[comp_id].fill ==
-    /// fill_epoch — fill epochs are globally unique, so a stale id from an
-    /// earlier reallocation can never validate. Lets expansion rounds merge
-    /// grown components in place instead of re-running the global BFS.
+    /// Index into comps_ of the component this resource was last split or
+    /// merged into. Valid only when comps_[comp_id].stamp == split_epoch —
+    /// epochs are globally unique, so a stale id from an earlier round or
+    /// reallocation can never validate. Lets expansion rounds merge grown
+    /// components in place instead of re-running the global BFS.
     std::uint32_t comp_id = kNone;
     /// Active flows whose *applied* bottleneck is this resource — lets
     /// boundary validation skip resources nobody's rate depends on.
@@ -314,23 +243,15 @@ class FlowNetwork {
     std::uint32_t res_off = 0, res_cnt = 0;
     std::uint64_t fill = 0;     // fill epoch assigned by fill_prepare
     /// Membership token: equals the split_epoch of every resource in the
-    /// span, minted by split_components / merge_expansion (peel pieces
-    /// inherit the parent's). A resource's comp_id is believed only when
+    /// span, minted by split_components / merge_expansion. A resource's
+    /// comp_id is believed only when
     /// comps_[comp_id].stamp == r->split_epoch — epochs are globally
     /// unique, so stale ids from earlier rounds or reallocations never
     /// validate. 0 on the round-one pseudo-component, which no merge ever
     /// sees (the first expansion round re-splits it).
     std::uint64_t stamp = 0;
     bool dirty = false;         // gained a flow this round -> must refill
-    bool has_pair = false;      // crosses a kPair resource
     bool has_coupling = false;  // crosses a kRackUp/kRackDown resource
-    bool hier = false;          // solved by the hierarchical solver
-    /// Already prepared: a peeled piece shares its parent's fill epoch and
-    /// refreshed resource state, so fill_prepare must not run again.
-    bool prepared = false;
-    /// Rates final without a fill (the frozen residue of a peel): skipped
-    /// by the fill phase but still boundary-validated.
-    bool solved = false;
     /// Absorbed into a merged component by an expansion round; the span is
     /// stale and every phase skips it.
     bool dead = false;
@@ -380,10 +301,10 @@ class FlowNetwork {
   /// resources, with no traversal of old member lists. Absorbed components
   /// are marked dead, merged ones appended dirty; untouched components
   /// keep their spans, rates and verdicts.
-  void merge_expansion(std::uint64_t mark, std::size_t fresh_begin);
-  /// Prepare + memo probe + fill (possibly parallel across components) for
-  /// every dirty component in comps_. Fills rates/bottlenecks scratch and
-  /// the per-resource aggregates; updates fill/memo/hier counters.
+  void merge_expansion(std::size_t fresh_begin);
+  /// Prepare + fill (possibly parallel across components) every dirty
+  /// component in comps_. Fills rates/bottlenecks scratch and the
+  /// per-resource aggregates; updates the fill counters.
   void fill_dirty_components(std::uint64_t mark);
   /// Check the max-min bottleneck conditions for boundary flows adjacent to
   /// one just-filled component (marked with `mark`); flows whose rates can
@@ -398,31 +319,10 @@ class FlowNetwork {
   /// Stamp the component with a fresh fill epoch, split each resource's
   /// member list into local/boundary arena slices, and compute residual
   /// capacity (boundary rates subtracted), unfrozen degree and the
-  /// boundary-side validation aggregates. Fills the span's kind flags and
-  /// returns the epoch. Appends to the round-scoped arenas (cleared by the
-  /// caller once per round). `ci` is the component's index in comps_,
-  /// recorded on each resource (Resource::comp_id) for expansion-round
-  /// merging.
-  std::uint64_t fill_prepare(CompSpan& comp, std::uint64_t local_mark,
-                             std::uint32_t ci);
-  /// Schedule-aware splitting of a prepared uncoupled component: detect
-  /// saturation cuts — resources whose exhaust level is margin-strictly
-  /// below every other exhaust level within graph distance two — freeze
-  /// their flows exactly as the flat fill's pop would, and split the
-  /// surviving graph into independent pieces appended to comps_ (sharing
-  /// the parent's fill epoch and refreshed resource state). The parent
-  /// span becomes the solved residue (frozen flows + exhausted resources),
-  /// still boundary-validated. Returns the number of pieces created; 0
-  /// means no cut was found and nothing was mutated. Bit-identical to
-  /// fill_exact over the unsplit component (see DESIGN.md
-  /// §"Saturation-cut splitting"); under cross_check_ the flat fill runs
-  /// first and the epilogue of fill_dirty_components compares bitwise.
-  std::size_t peel_and_split(std::uint32_t ci, std::uint64_t mark);
-
-  /// Bitwise-compare the verdicts parked by peel_and_split's oracle run
-  /// (cross-check builds only) against the peel + piece results; aborts on
-  /// the first divergent flow. No-op when no oracle is armed.
-  void peel_oracle_compare();
+  /// boundary-side validation aggregates. Sets the span's coupling flag.
+  /// Appends to the round-scoped arenas (cleared by the caller once per
+  /// round).
+  void fill_prepare(CompSpan& comp, std::uint64_t local_mark);
   /// Exact bottleneck elimination over a prepared component; writes
   /// per-slot rates into rates_scratch_ and freeze resources into
   /// bottleneck_scratch_. `heap` is caller-provided scratch so component
@@ -430,18 +330,6 @@ class FlowNetwork {
   /// (heap pops) — callers account them, serially.
   std::uint64_t fill_exact(const CompSpan& comp,
                            std::vector<Resource*>& heap) const;
-  /// Hierarchical island/uplink solver over a prepared component (see
-  /// DESIGN.md). Returns false (leaving scratch untouched) when it does
-  /// not engage or the fixed point fails to stabilise — the caller falls
-  /// back to fill_exact. On success writes the same outputs as fill_exact
-  /// and reports pops/iterations/parallel-eligible island rounds through
-  /// the out-params. `island_jobs` workers solve the per-rack islands of
-  /// one Jacobi round concurrently (islands write disjoint ordinal- and
-  /// member-sliced scratch; results are byte-identical for any value);
-  /// callers already inside a parallel component dispatch pass 1.
-  bool fill_hierarchical(const CompSpan& comp, std::size_t island_jobs,
-                         std::uint64_t* pops, std::uint64_t* iters,
-                         std::uint64_t* par_rounds) const;
   /// The pre-optimization progressive lazy-heap water filling, kept as the
   /// independent oracle behind set_cross_check / the property tests.
   void water_fill_progressive(const std::vector<std::uint32_t>& comp_flows,
@@ -450,9 +338,8 @@ class FlowNetwork {
   double resource_capacity(const Resource& r) const;
 
   // -- exact-fill indexed resource heap -----------------------------------
-  /// Ties break on the component-relative ordinal (not the global id) so
-  /// the fill is a pure function of the component *shape* — the property
-  /// the shape-level memo replays rely on.
+  /// Ties break on the component-relative ordinal (not the global id), so
+  /// the fill is a pure function of the component's canonical order.
   static bool res_heap_less(const Resource* a, const Resource* b) {
     if (a->fill_key != b->fill_key) return a->fill_key < b->fill_key;
     return a->comp_index < b->comp_index;
@@ -462,36 +349,6 @@ class FlowNetwork {
   static void res_heap_sift_down(std::vector<Resource*>& heap,
                                  std::uint32_t pos);
   static void res_heap_remove(std::vector<Resource*>& heap, Resource* r);
-
-  // -- fill memoization ----------------------------------------------------
-  struct MemoEntry {
-    std::vector<std::uint64_t> key;
-    std::vector<double> rates;               // comp flows, discovery order
-    std::vector<std::uint32_t> bottlenecks;  // comp resource ordinals
-    /// Validation aggregates per comp resource, replayed on a hit so
-    /// validate_boundary sees exactly what a fresh fill would have left:
-    /// (usage_local, max_local, sat_lambda); sat_lambda is NaN when the
-    /// resource drained without saturating.
-    std::vector<double> res_aggregates;
-    std::uint64_t hash = 0;
-    bool hier = false;  // produced by the hierarchical solver
-  };
-  /// Fingerprint the prepared component's canonical shape into `key`;
-  /// returns its 64-bit hash. The key names no absolute node or resource
-  /// ids — resources appear as (kind, degree, residual bits) in component
-  /// order and flows as the ordinals of the resources they cross — so
-  /// translated copies of one shape (the same pipeline step on different
-  /// node pairs) produce the same key.
-  std::uint64_t memo_fingerprint(const CompSpan& comp,
-                                 std::vector<std::uint64_t>& key) const;
-  MemoEntry* memo_find(std::uint64_t hash,
-                       const std::vector<std::uint64_t>& key);
-  void memo_store(std::uint64_t hash, std::vector<std::uint64_t>&& key,
-                  const CompSpan& comp);
-  void memo_clear();
-  /// Apply the deterministic auto-off policy after a probation window of
-  /// misses with almost no hits.
-  void memo_update_probation();
 
   /// Progressive-oracle heap entry: (estimated exhaust level, stable id).
   struct FillEntry {
@@ -553,45 +410,12 @@ class FlowNetwork {
   std::vector<std::uint32_t> split_flows_;
   std::vector<Resource*> split_res_;
   std::vector<CompSpan> comps_;
-  // Round-scoped miss queue for the (possibly parallel) fill phase.
-  std::vector<std::uint32_t> miss_comps_;       // indices into comps_
-  std::vector<std::uint64_t> miss_pops_;        // per-miss filling rounds
-  std::vector<std::uint64_t> miss_iters_;       // per-miss hier iterations
-  std::vector<std::uint8_t> miss_fb_;           // per-miss hier fallback flag
-  std::vector<std::uint64_t> miss_par_;         // per-miss eligible isl rounds
-  std::vector<std::vector<std::uint64_t>> miss_keys_;  // per-miss memo keys
-  std::vector<std::uint64_t> miss_hashes_;
-  // Round-scoped memo probe queue: fingerprints of probe candidates are
-  // computed (possibly in parallel — the fingerprint is a pure function of
-  // the prepared component) before the serial probe/replay pass, so memo
-  // hits never wait on worker handoff.
-  std::vector<std::uint32_t> probe_comps_;      // indices into comps_
-  std::vector<std::uint64_t> probe_hashes_;
-  std::vector<std::vector<std::uint64_t>> probe_keys_;
-  // Per-worker fill-heap scratch for the parallel miss dispatch (reused
-  // across the items each worker claims instead of allocating per item).
+  // Round-scoped fill queue for the (possibly parallel) fill phase.
+  std::vector<std::uint32_t> fill_comps_;  // indices into comps_
+  std::vector<std::uint64_t> fill_pops_;   // per-fill filling rounds
+  // Per-worker fill-heap scratch for the parallel dispatch (reused across
+  // the items each worker claims instead of allocating per item).
   std::vector<std::vector<Resource*>> worker_heaps_;
-  // Saturation-cut peel scratch (see peel_and_split). Indexed by
-  // component-local flow index / resource ordinal; the slot-indexed pair
-  // grows with the slab and is epoch-stamped.
-  std::vector<double> cut_s1_, cut_s2_;         // per flow: two lowest keys
-  std::vector<std::uint32_t> cut_o1_;           // per flow: owner of s1
-  std::vector<double> cut_nb1_;                 // per res: distance-1 min
-  std::vector<double> cut_e1_, cut_e2_;         // per res: two lowest s1
-  std::vector<std::uint32_t> cut_eo1_;          //   contributions, distinct
-  std::vector<double> cut_key_;                 // per res: exhaust level
-  std::vector<std::uint32_t> cut_list_;         // cut ordinals this round
-  std::vector<std::uint32_t> piece_of_res_;     // per res: piece id / kNone
-  std::vector<std::uint64_t> piece_flow_stamp_;  // slot-indexed BFS stamp
-  std::vector<std::uint32_t> piece_of_slot_;     // slot-indexed piece id
-  std::vector<std::uint32_t> part_flows_;        // partition scratch
-  std::vector<std::uint32_t> part_res_;  // permuted span positions
-  // Byte-equality oracle under cross_check_: the flat fill of a component
-  // about to be peeled, compared bitwise against the peel+piece results in
-  // the round epilogue.
-  std::vector<std::uint32_t> oracle_slots_;
-  std::vector<double> oracle_rates_;
-  std::vector<Resource*> oracle_bns_;
   // Per-fill member split (slices per resource via lmem_off/bmem_off):
   // the fill freeze loops walk exactly the local members and
   // validate_boundary exactly the boundary members, instead of filtering
@@ -599,31 +423,8 @@ class FlowNetwork {
   std::vector<std::uint32_t> local_arena_;
   std::vector<std::uint32_t> boundary_arena_;
 
-  /// Ring of cached fills with a hash index. Replacement is round-robin
-  /// (deterministic FIFO): a steady-state pipeline cycles through a small
-  /// set of component shapes, so the working set is tiny and recency gives
-  /// no extra signal worth the bookkeeping. When a workload keeps missing
-  /// (shapes or boundary residuals never repeat), the cache
-  /// deterministically disables itself — see memo_update_probation — so
-  /// non-repeating runs stop paying the fingerprint.
-  std::vector<MemoEntry> memo_entries_;
-  std::unordered_map<std::uint64_t, std::uint32_t> memo_index_;
-  std::size_t memo_cursor_ = 0;
-  bool memoize_ = true;
-  bool memo_auto_off_ = false;
-  /// Counter values at the last (re-)arming: the auto-off policy judges the
-  /// hit rate of the current probation window, not the process lifetime.
-  std::uint64_t memo_hit_mark_ = 0;
-  std::uint64_t memo_miss_mark_ = 0;
-  std::size_t memo_min_flows_ = 8;
-  static constexpr std::size_t kMemoCapacity = 1024;
-  /// Auto-disable policy: after this many misses with a hit rate below
-  /// 1/kMemoMinHitRatio, stop fingerprinting (re-armed by set_memoize).
-  static constexpr std::uint64_t kMemoProbation = 4096;
-  static constexpr std::uint64_t kMemoMinHitRatio = 16;
-
   std::size_t fill_jobs_ = 1;
-  /// Parallel dispatch is worth a thread wake only for big rounds: misses
+  /// Parallel dispatch is worth a thread wake only for big rounds: fills
   /// totalling fewer local flows than this fill inline even when
   /// fill_jobs_ > 1 (identical results either way — the gate is
   /// deterministic).
@@ -631,37 +432,10 @@ class FlowNetwork {
   /// Local sets smaller than this skip the component BFS and fill as one
   /// pseudo-component (the pre-split behaviour — a single bottleneck
   /// elimination handles a disconnected span correctly). Everything the
-  /// split enables (dirty-component skip, hierarchical solve, parallel
-  /// dispatch) only engages on large sets, so splitting tiny steady-state
+  /// split enables (dirty-component skip, parallel dispatch) only engages
+  /// on large sets, so splitting tiny steady-state
   /// rounds is pure BFS overhead (~20% of fig8 wall when measured).
   static constexpr std::size_t kSplitMinFlows = 64;
-
-  bool hierarchical_ = true;
-  std::size_t hier_min_flows_ = 64;
-  /// Saturation-cut splitting engages on uncoupled components at least
-  /// this large; the cut-detection passes cost O(incidences) per fill, so
-  /// small components (already cheap, and where cuts buy nothing) skip
-  /// them. Tests lower it via set_cut_min_flows.
-  static constexpr std::size_t kCutMinFlows = 512;
-  std::size_t cut_min_flows_ = kCutMinFlows;
-  /// A resource is a cut only when its exhaust level is below every other
-  /// level within distance two by this *relative* margin. The margin is
-  /// what makes the peel bit-identical to the flat fill: it dominates FP
-  /// drift (~1e-14) by five orders, so exact-arithmetic strictness
-  /// survives rounding, cuts sit >= distance 3 apart, and every refresh a
-  /// piece fill performs happens at a level strictly above the peel's.
-  static constexpr double kCutMargin = 1e-9;
-  /// Island solves of one hierarchical round dispatch in parallel (and
-  /// count as island_par_rounds) when the round has at least two islands
-  /// and this many island members.
-  static constexpr std::size_t kIslandParMinMembers = 512;
-  /// Fixed-point bound: iterations to stabilise before falling back to the
-  /// flat fill. The level count is bounded by the number of distinct
-  /// bottleneck levels, a handful in practice.
-  static constexpr std::size_t kHierMaxIters = 64;
-  /// Advertised levels are declared stable at this relative tolerance —
-  /// far below the 1e-9 correctness tolerance, just above FP noise.
-  static constexpr double kHierTol = 1e-13;
 
   /// Local-set growth rounds before giving up and recomputing the whole
   /// affected connected component from scratch. The bound must cover the

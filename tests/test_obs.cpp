@@ -2,10 +2,16 @@
 // metrics registry, critical-path stall analyzer, pluggable log sink.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/rdmc.hpp"
+#include "fabric/mem_fabric.hpp"
 #include "harness/sim_harness.hpp"
 #include "json_scanner.hpp"
 #include "obs/metrics.hpp"
@@ -200,6 +206,67 @@ TEST(Stall, DecompositionClosesWithinOnePercent) {
   for (const auto& r : analysis.receivers) {
     ASSERT_GT(r.latency_s, 0.0);
     EXPECT_LE(std::abs(r.sum() / r.latency_s - 1.0), 0.01);
+  }
+}
+
+// Wall-clock tiling on the threaded MemFabric: the fabric's transfer spans
+// must cover the byte copy and share the nodes' timebase, so each of two
+// 8 MB multicasts to three members tiles into real transfer time and the
+// segments still close on the latency. Two messages, because block
+// numbers and work-request ids restart with every message and the
+// analyzer must not mix them up.
+TEST(Stall, MemFabricTransferSpansCoverTheCopy) {
+  constexpr std::size_t kMembers = 3;
+  constexpr std::size_t kBytes = std::size_t{8} << 20;
+  fabric::MemFabric fabric(kMembers);
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (std::size_t i = 0; i < kMembers; ++i)
+    nodes.push_back(std::make_unique<Node>(fabric, static_cast<NodeId>(i)));
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t delivered = 0;
+  std::vector<std::vector<std::byte>> buffers(kMembers);
+
+  obs::TraceRecorder::instance().enable();
+  const std::vector<NodeId> members{0, 1, 2};
+  for (const NodeId m : members) {
+    ASSERT_TRUE(nodes[m]->create_group(
+        1, members, GroupOptions{},
+        [&buffers, m](std::size_t size) {
+          buffers[m].resize(size);
+          return fabric::MemoryView{buffers[m].data(), size};
+        },
+        [&, m](std::byte*, std::size_t) {
+          if (m == 0) return;  // the root's own send completion
+          std::lock_guard lock(mutex);
+          ++delivered;
+          cv.notify_all();
+        }));
+  }
+  std::vector<std::byte> payload(kBytes, std::byte{0x5A});
+  for (std::size_t sent = 1; sent <= 2; ++sent) {
+    ASSERT_TRUE(nodes[0]->send(1, payload.data(), kBytes));
+    std::unique_lock lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(20), [&] {
+      return delivered == sent * (kMembers - 1);
+    }));
+  }
+  const auto events = obs::TraceRecorder::instance().snapshot();
+  obs::TraceRecorder::instance().disable();
+  nodes.clear();
+  fabric.stop();
+
+  const std::vector<std::uint32_t> ids(members.begin(), members.end());
+  for (std::size_t seq = 0; seq < 2; ++seq) {
+    const auto analysis = obs::analyze_multicast(events, 1, ids, seq);
+    for (const auto& w : analysis.warnings) ADD_FAILURE() << w;
+    ASSERT_EQ(analysis.receivers.size(), kMembers - 1);
+    for (const auto& r : analysis.receivers) {
+      EXPECT_GT(r.latency_s, 0.0);
+      // The last hop's 1 MB block copy: tens of microseconds at least.
+      EXPECT_GT(r.transfer_s, 1e-5) << "seq " << seq << ", node " << r.node;
+      EXPECT_NEAR(r.sum(), r.latency_s, 1e-12 + r.latency_s * 1e-9);
+    }
   }
 }
 

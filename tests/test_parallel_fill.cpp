@@ -44,12 +44,6 @@ TEST(ParallelFill, ConcurrentRackedRunIsByteIdentical) {
   EXPECT_EQ(serial.perf.max_component, parallel.perf.max_component);
   EXPECT_EQ(serial.perf.expand_rounds, parallel.perf.expand_rounds);
   EXPECT_EQ(serial.perf.component_fills, parallel.perf.component_fills);
-  EXPECT_EQ(serial.perf.hier_fills, parallel.perf.hier_fills);
-  EXPECT_EQ(serial.perf.hier_rounds, parallel.perf.hier_rounds);
-  EXPECT_EQ(serial.perf.hier_fallbacks, parallel.perf.hier_fallbacks);
-  // The racked shape is what the hierarchical solver exists for; make sure
-  // this determinism gate actually covers it.
-  EXPECT_GT(serial.perf.hier_fills, 0u);
 }
 
 TEST(ParallelFill, ChurnRatesAreBitEqualAcrossJobCounts) {

@@ -51,13 +51,10 @@ TEST(PerfCounters, Fig8Deterministic) {
   EXPECT_EQ(a.filling_rounds, b.filling_rounds);
   EXPECT_EQ(a.flows_touched, b.flows_touched);
   EXPECT_EQ(a.expand_rounds, b.expand_rounds);
-  EXPECT_EQ(a.memo_hits, b.memo_hits);
-  EXPECT_EQ(a.memo_misses, b.memo_misses);
 }
 
 // Datacenter-scale smoke behind an env guard: the 4096-node Fig 8
-// pipeline is the configuration the hierarchical solver and the
-// incremental machinery must hold flat, but it costs several seconds,
+// pipeline is the configuration the incremental machinery must hold flat, but it costs several seconds,
 // so the default ctest run skips it. CI sets RDMC_BIG_SMOKE=1 on a
 // dedicated step. Ceilings sit well above the currently measured values
 // (5.6M rounds, 260k reallocations, 4.7M touched); losing incrementality
@@ -78,10 +75,6 @@ TEST(PerfCounters, Fig8At4096WorkCountersUnderCeilings) {
   ASSERT_GT(p.reallocations, 0u);
   // Locality: average recomputed set far below the ~4095 active flows.
   EXPECT_LE(p.flows_touched / p.reallocations, 400u);
-  // At this scale components grow large enough for the saturation-cut
-  // splitter to find real cuts; a zero here means the peel stopped
-  // engaging (gating bug or cut detection regression).
-  EXPECT_GT(p.split_cuts, 0u);
   // The virtual result is deterministic; pin it so a solver change that
   // moves rates at all (not just perf) fails loudly here too. The pin
   // moved from 0.030547233 when kMaxExpandRounds went 6 -> 32: expansions

@@ -1,7 +1,7 @@
 // Stress and property tests for the incremental simulator core: flow aborts
 // mid-transfer, EventQueue cancellation under churn, and randomized
-// equivalence of the incremental reallocation against a from-scratch
-// water-filling.
+// equivalence of the incremental reallocation against from-scratch fills
+// by the progressive oracle and by the production exact fill.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "sim/flow_network.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
+#include "util/random.hpp"
 
 namespace rdmc::sim {
 namespace {
@@ -269,6 +270,167 @@ TEST(IncrementalReallocation, PairCapAppearsAfterFlowsStarted) {
   // 25 Gb at 100 Gb/s until t=0.25, then the remaining 25 Gb at 25 Gb/s.
   EXPECT_NEAR(t1, 0.25 + 25.0 / 25.0, 1e-9);
 }
+
+TEST(IncrementalReallocation, LinkDegradeRefillsEstablishedRates) {
+  // A capacity mutation after flows are established must invalidate every
+  // held rate, not only the degraded flow's: the capped flow drops to its
+  // cap, its tx peers pick up the slack, and clearing the cap restores the
+  // even split.
+  Fixture f(TopologyConfig{.num_nodes = 8, .nic_gbps = 100.0});
+  std::vector<FlowId> ids;
+  for (NodeId dst = 1; dst <= 5; ++dst)
+    ids.push_back(f.net.start_flow(0, dst, 1e13, nullptr));
+  for (const FlowId id : ids)
+    EXPECT_NEAR(f.net.flow_rate(id), 20.0 * kGbps, 1e-9 * kGbps);
+
+  f.topo.set_pair_cap(0, 5, 10.0);
+  f.net.topology_changed();
+  EXPECT_NEAR(f.net.flow_rate(ids[4]), 10.0 * kGbps, 1e-9 * kGbps);
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_NEAR(f.net.flow_rate(ids[i]), 22.5 * kGbps, 1e-9 * kGbps);
+  EXPECT_TRUE(f.net.rates_match_full_recompute(1e-9));
+
+  f.topo.clear_pair_cap(0, 5);
+  f.net.topology_changed();
+  for (const FlowId id : ids)
+    EXPECT_NEAR(f.net.flow_rate(id), 20.0 * kGbps, 1e-9 * kGbps);
+
+  for (const FlowId id : ids) f.net.abort_flow(id);
+  f.sim.run();
+}
+
+// ----------------------------------- exact fill == oracle under churn --
+
+// Randomized churn — flow starts, aborts and, where enabled, pair-cap and
+// NIC mutations via topology_changed() — with the incremental allocation
+// checked after every step against from-scratch fills by both the
+// progressive oracle and the production exact fill. Cross-checking is on,
+// so every incremental reallocation is also validated inside the
+// allocator (divergence aborts). The racked scenarios sweep rack
+// oversubscription x fan-out (nodes per rack), including a two-node rack
+// and a rack holding half the cluster, and bias flows across racks so
+// components couple through the uplinks.
+struct ChurnScenario {
+  std::uint64_t seed;
+  std::size_t nodes;
+  double nic_gbps;
+  std::size_t nodes_per_rack;  // 0: a single rack, no uplinks
+  double uplink_gbps;
+  std::size_t flows;        // warm-up population; churn drifts around it
+  std::size_t churn_steps;  // operations after warm-up
+  bool mutate;              // also mutate pair caps and NICs
+};
+
+class ChurnProperty : public ::testing::TestWithParam<ChurnScenario> {};
+
+TEST_P(ChurnProperty, ExactMatchesProgressiveAndFull) {
+  const ChurnScenario sc = GetParam();
+  util::Rng rng(sc.seed);
+  TopologyConfig cfg;
+  cfg.num_nodes = sc.nodes;
+  cfg.nic_gbps = sc.nic_gbps;
+  cfg.nodes_per_rack = sc.nodes_per_rack;
+  cfg.rack_uplink_gbps = sc.uplink_gbps;
+  Fixture f(cfg);
+  const auto pick = [&] {
+    return static_cast<NodeId>(rng.uniform(0, sc.nodes - 1));
+  };
+
+  std::vector<FlowId> live;
+  const auto start_one = [&] {
+    const NodeId src = pick();
+    NodeId dst = pick();
+    if (src == dst) dst = (dst + 1) % sc.nodes;
+    // Same-rack-only components never touch an uplink; push most of them
+    // across racks.
+    if (sc.nodes_per_rack > 0 && f.topo.same_rack(src, dst) &&
+        rng.uniform01() < 0.75)
+      dst = static_cast<NodeId>((dst + sc.nodes_per_rack) % sc.nodes);
+    if (src == dst) dst = (dst + 1) % sc.nodes;
+    live.push_back(f.net.start_flow(src, dst, 1e15, nullptr));
+  };
+  const auto mutate_one = [&] {
+    if (rng.uniform01() < 0.5) {
+      const NodeId a = pick();
+      NodeId b = pick();
+      if (a == b) b = (b + 1) % sc.nodes;
+      if (rng.uniform01() < 0.5)
+        f.topo.set_pair_cap(a, b, 2.0 + 60.0 * rng.uniform01());
+      else
+        f.topo.clear_pair_cap(a, b);
+    } else {
+      f.topo.set_node_nic(pick(), 0.4 * sc.nic_gbps +
+                                      0.8 * sc.nic_gbps * rng.uniform01());
+    }
+    f.net.topology_changed();
+  };
+  const auto check = [&](std::size_t step) {
+    for (const FlowId id : live) ASSERT_GT(f.net.flow_rate(id), 0.0);
+    ASSERT_TRUE(f.net.rates_match_full_recompute(1e-9, /*exact=*/false))
+        << "progressive oracle diverged at step " << step;
+    ASSERT_TRUE(f.net.rates_match_full_recompute(1e-9, /*exact=*/true))
+        << "exact fill diverged at step " << step;
+  };
+
+  for (std::size_t i = 0; i < sc.flows; ++i) start_one();
+  check(0);
+  for (std::size_t step = 1; step <= sc.churn_steps; ++step) {
+    if (sc.mutate && rng.uniform01() < 0.25) {
+      mutate_one();
+    } else if (live.size() < 2 ||
+               (live.size() < 2 * sc.flows && rng.uniform01() < 0.5)) {
+      start_one();
+    } else {
+      const std::size_t i = rng.uniform(0, live.size() - 1);
+      f.net.abort_flow(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    }
+    check(step);
+  }
+  EXPECT_GT(f.net.counters().cross_checks, 0u);
+
+  for (const FlowId id : live) f.net.abort_flow(id);
+  f.sim.run();
+}
+
+std::vector<ChurnScenario> churn_scenarios() {
+  std::vector<ChurnScenario> out;
+  // Oversubscribed racks: 56 Gb/s NICs behind an uplink of
+  // nodes_per_rack * 56 / oversubscription.
+  const auto racked = [&](std::uint64_t seed, std::size_t nodes,
+                          std::size_t per_rack, double over,
+                          std::size_t flows, std::size_t steps) {
+    out.push_back({seed, nodes, 56.0, per_rack,
+                   56.0 * static_cast<double>(per_rack) / over, flows, steps,
+                   false});
+  };
+  std::uint64_t seed = 7000;
+  for (const double over : {2.0, 3.5, 7.0}) {
+    racked(seed++, 32, 8, over, 90, 40);
+    racked(seed++, 48, 16, over, 120, 30);
+  }
+  racked(seed++, 24, 2, 4.0, 80, 30);
+  racked(seed++, 24, 12, 1.5, 80, 30);
+  // Small clusters under capacity mutations: two racks from 8 nodes up,
+  // a single rack below.
+  for (const std::uint64_t s : {11ull, 23ull, 47ull, 91ull}) {
+    const std::size_t nodes = 6 + s % 7;
+    out.push_back({s, nodes, 100.0, nodes >= 8 ? nodes / 2 : 0, 150.0, 8,
+                   120, true});
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ChurnProperty, ::testing::ValuesIn(churn_scenarios()),
+    [](const ::testing::TestParamInfo<ChurnScenario>& info) {
+      const ChurnScenario& s = info.param;
+      return "n" + std::to_string(s.nodes) + "_rack" +
+             std::to_string(s.nodes_per_rack) + "_up" +
+             std::to_string(static_cast<int>(s.uplink_gbps)) +
+             (s.mutate ? "_mutate" : "") + "_s" + std::to_string(s.seed);
+    });
 
 }  // namespace
 }  // namespace rdmc::sim

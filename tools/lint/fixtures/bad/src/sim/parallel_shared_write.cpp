@@ -12,20 +12,19 @@ void parallel_for(std::size_t n, std::size_t jobs, F f);
 class Net {
   struct Counters {
     std::uint64_t filling_rounds = 0;
-    std::uint64_t memo_hits = 0;
+    std::uint64_t component_fills = 0;
+    std::uint64_t max_component = 0;
   };
   Counters counters_;
-  void memo_store(std::uint64_t h);
 
   void fill(std::size_t n) {
     parallel_for_workers(n, 4, [&](std::size_t w, std::size_t i) {
       ++counters_.filling_rounds;
-      counters_.memo_hits += 1;
-      memo_store(i);
+      counters_.component_fills += 1;
     });
   }
 
-  void probe(std::size_t n) {
-    parallel_for(n, 4, [&](std::size_t i) { memo_store(i); });
+  void widest(std::size_t n) {
+    parallel_for(n, 4, [&](std::size_t i) { counters_.max_component = i; });
   }
 };

@@ -1,6 +1,6 @@
 // Fixture: the sanctioned parallel-fill shape — workers write only
-// per-index result slots and per-worker scratch; the shared counters and
-// the memo ring are updated afterwards, serially, in canonical order.
+// per-index result slots and per-worker scratch; the shared counters are
+// updated afterwards, serially, in canonical order.
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -13,21 +13,19 @@ class Net {
     std::uint64_t filling_rounds = 0;
   };
   Counters counters_;
-  std::vector<std::uint64_t> miss_pops_;
+  std::vector<std::uint64_t> fill_pops_;
   std::vector<std::vector<int>> worker_heaps_;
-  void memo_store(std::uint64_t h);
-  void run_one(std::size_t mi, std::vector<int>& heap);
+  std::uint64_t run_one(std::size_t i, std::vector<int>& heap);
 
   void fill(std::size_t n) {
-    miss_pops_.assign(n, 0);
+    fill_pops_.assign(n, 0);
     worker_heaps_.resize(4);
-    parallel_for_workers(n, 4, [&](std::size_t w, std::size_t mi) {
-      run_one(mi, worker_heaps_[w]);  // per-index slots, per-worker heap
+    parallel_for_workers(n, 4, [&](std::size_t w, std::size_t i) {
+      // Per-index slot, per-worker heap.
+      fill_pops_[i] = run_one(i, worker_heaps_[w]);
     });
-    // Serial epilogue: merge in miss order, touch shared state here only.
-    for (std::size_t mi = 0; mi < n; ++mi) {
-      counters_.filling_rounds += miss_pops_[mi];
-      memo_store(mi);
-    }
+    // Serial epilogue: merge in index order, touch shared state here only.
+    for (std::size_t i = 0; i < n; ++i)
+      counters_.filling_rounds += fill_pops_[i];
   }
 };
