@@ -10,10 +10,10 @@
 #include <cstring>
 #include <string>
 
-#include "harness/parallel.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 #include "util/bytes.hpp"
+#include "util/parallel.hpp"
 #include "util/table.hpp"
 
 namespace rdmc::bench {
@@ -33,12 +33,12 @@ inline const char* flag_value(int argc, char** argv, const char* name) {
   return found;
 }
 
-/// Thread-count convention shared by --jobs/--fill-jobs: absent -> 1
-/// (serial, the bit-identical reference); 0 -> one per hardware thread.
+/// Thread-count convention for --jobs: absent -> 1 (serial, the
+/// bit-identical reference); 0 -> one per hardware thread.
 inline std::size_t thread_count(const char* value) {
   if (value == nullptr) return 1;
   const long long n = std::atoll(value);
-  if (n <= 0) return n == 0 ? harness::default_jobs() : 1;
+  if (n <= 0) return n == 0 ? util::default_jobs() : 1;
   return static_cast<std::size_t>(n);
 }
 
@@ -48,10 +48,7 @@ inline std::size_t thread_count(const char* value) {
 ///
 ///   --quick           shrink sizes/iterations (CI smoke mode)
 ///   --jobs N          worker threads across independent sweep points
-///                     (results independent of N, see harness/parallel.hpp)
-///   --fill-jobs N     worker threads *inside* one simulation's max-min
-///                     fill (FlowNetwork::set_fill_jobs); byte-identical
-///                     for any N
+///                     (results independent of N, see util/parallel.hpp)
 ///   --trace out.json  record the unified trace and dump it for Perfetto
 ///   --telemetry out.jsonl  write the windowed telemetry time-series
 ///                     (benches that support it pair with write_text)
@@ -63,7 +60,6 @@ inline std::size_t thread_count(const char* value) {
 struct BenchOptions {
   bool quick = false;
   std::size_t jobs = 1;
-  std::size_t fill_jobs = 1;
   const char* trace = nullptr;  // --trace output path, null = tracing off
   const char* telemetry = nullptr;  // --telemetry output path, null = off
 
@@ -72,8 +68,6 @@ struct BenchOptions {
     for (int i = 1; i < argc; ++i)
       if (std::strcmp(argv[i], "--quick") == 0) o.quick = true;
     o.jobs = detail::thread_count(detail::flag_value(argc, argv, "--jobs"));
-    o.fill_jobs =
-        detail::thread_count(detail::flag_value(argc, argv, "--fill-jobs"));
     o.trace = detail::flag_value(argc, argv, "--trace");
     o.telemetry = detail::flag_value(argc, argv, "--telemetry");
     if (o.trace != nullptr) obs::TraceRecorder::instance().enable();

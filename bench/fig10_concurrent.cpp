@@ -30,7 +30,7 @@ void run_cluster(const char* name, const sim::ClusterProfile& base,
         cells.push_back({message, n, senders});
 
   std::vector<double> gbps(cells.size());
-  harness::parallel_for(cells.size(), jobs, [&](std::size_t i) {
+  util::parallel_for(cells.size(), jobs, [&](std::size_t i) {
     const Cell& cell = cells[i];
     harness::ConcurrentConfig cfg;
     cfg.profile = base;

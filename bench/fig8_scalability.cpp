@@ -85,17 +85,16 @@ int main(int argc, char** argv) {
   // Full mode extends past the paper's 512-node axis to 16K nodes — the
   // flat curve continuing is the "replication is almost free" claim at
   // datacenter scale (and the stress test for the incremental max-min
-  // solver; see DESIGN.md "Hierarchical water-fill").
+  // solver; see DESIGN.md §12 "Mega-scale fills").
   std::vector<std::size_t> node_counts{2, 4, 8, 16, 32, 64, 128, 256, 512};
   if (!quick)
     for (const std::size_t n : {1024, 4096, 16384}) node_counts.push_back(n);
-  const std::size_t fill_jobs = opts.fill_jobs;
   struct Point {
     double pipe = 0.0;
     double seq = 0.0;  // 0: extrapolated below
   };
   std::vector<Point> points(node_counts.size());
-  harness::parallel_for(
+  util::parallel_for(
       node_counts.size(), opts.jobs, [&](std::size_t i) {
         const std::size_t n = node_counts[i];
         harness::MulticastConfig cfg;
@@ -103,7 +102,6 @@ int main(int argc, char** argv) {
         cfg.group_size = n;
         cfg.message_bytes = bytes;
         cfg.block_size = 1 << 20;
-        cfg.fill_jobs = fill_jobs;
         points[i].pipe = harness::run_multicast(cfg).total_seconds;
         if (n <= 128) {
           auto scfg = cfg;

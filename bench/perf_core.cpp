@@ -76,15 +76,12 @@ void append_json(std::string& out, const Point& p) {
   out += buf;
 }
 
-std::size_t g_fill_jobs = 1;  // --fill-jobs; results byte-identical for any N
-
 Point run_fig8(std::size_t nodes, std::uint64_t bytes, double seed_wall) {
   harness::MulticastConfig cfg;
   cfg.profile = sim::sierra_profile(nodes);
   cfg.group_size = nodes;
   cfg.message_bytes = bytes;
   cfg.block_size = 1 << 20;
-  cfg.fill_jobs = g_fill_jobs;
   const auto result = harness::run_multicast(cfg);
   Point p;
   p.name = "fig8_" + std::to_string(nodes) + "_pipeline";
@@ -102,7 +99,6 @@ Point run_fig10(std::size_t groups, std::size_t size, std::uint64_t bytes,
   cfg.senders = groups;
   cfg.message_bytes = bytes;
   cfg.messages = messages;
-  cfg.fill_jobs = g_fill_jobs;
   const auto result = harness::run_concurrent(cfg);
   Point p;
   p.name = "fig10_" + std::to_string(groups) + "x" + std::to_string(size) +
@@ -124,7 +120,6 @@ Point run_racked(std::size_t groups, std::size_t size, std::uint64_t bytes,
   cfg.senders = groups;
   cfg.message_bytes = bytes;
   cfg.messages = messages;
-  cfg.fill_jobs = g_fill_jobs;
   const auto result = harness::run_concurrent(cfg);
   Point p;
   p.name = "fig10b_" + std::to_string(groups) + "x" + std::to_string(size) +
@@ -140,7 +135,6 @@ Point run_racked(std::size_t groups, std::size_t size, std::uint64_t bytes,
 int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
   const bool quick = opts.quick;
-  g_fill_jobs = opts.fill_jobs;
   bench::header("Simulator-core performance (wall time + counters)",
                 "infrastructure for Figs 8 and 10 (not a paper figure)",
                 "incremental reallocation keeps wall time flat as the "
@@ -174,7 +168,7 @@ int main(int argc, char** argv) {
     // Mega-scale point: ~27 s here vs ~2.5 min on the pre-splitting
     // tree (seed extrapolated from its measured n^1.8 wall scaling at
     // 1024/4096/8192). Too heavy for every CI run — opt in with
-    // RDMC_BIG_BENCH=1; the CI fill-jobs determinism cmp step sets it.
+    // RDMC_BIG_BENCH=1.
     if (std::getenv("RDMC_BIG_BENCH") != nullptr)
       points.push_back(run_fig8(16384, 32ull << 20, 150.0));
   }

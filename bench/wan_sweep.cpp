@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
 
   const bool collect_telemetry = opts.telemetry != nullptr;
   std::vector<CellResult> results(cells.size());
-  harness::parallel_for(cells.size(), opts.jobs, [&](std::size_t i) {
+  util::parallel_for(cells.size(), opts.jobs, [&](std::size_t i) {
     obs::TraceRecorder::ThreadShard shard;
     results[i] = run_cell(cells[i], i, collect_telemetry);
   });
@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
          {reliability::Policy::kSelectiveRepeat, reliability::Policy::kErasure})
       sched_cells.push_back(Cell{sched_loss, sched_rtt, sched_bytes, policy, alg});
   std::vector<CellResult> sched_results(sched_cells.size());
-  harness::parallel_for(sched_cells.size(), opts.jobs, [&](std::size_t i) {
+  util::parallel_for(sched_cells.size(), opts.jobs, [&](std::size_t i) {
     obs::TraceRecorder::ThreadShard shard;
     sched_results[i] = run_cell(sched_cells[i], cells.size() + i,
                                 collect_telemetry);

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
-#include "harness/parallel.hpp"
 #include "harness/recovery.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 
 namespace rdmc::harness {
 
@@ -94,7 +94,7 @@ ChaosCampaignResult run_chaos_campaign(std::uint64_t first_seed,
   std::vector<ChaosSeedResult> results(count);
   const bool tracing = obs::TraceRecorder::instance().enabled();
   std::vector<std::vector<obs::TraceEvent>> shards(tracing ? count : 0);
-  parallel_for(count, jobs, [&](std::size_t i) {
+  util::parallel_for(count, jobs, [&](std::size_t i) {
     if (tracing) {
       obs::TraceRecorder::ThreadShard shard;
       results[i] = run_chaos_seed(first_seed + i, spec, result.window_s);

@@ -72,7 +72,7 @@ struct ChaosCampaignResult {
 };
 
 /// Sweep `count` seeds starting at `first_seed`. `jobs` > 1 fans the seeds
-/// out over a thread pool (harness/parallel.hpp); every per-seed result is
+/// out over a thread pool (util/parallel.hpp); every per-seed result is
 /// bit-identical to a serial run regardless of job count — each seed builds
 /// its own cluster, and when tracing is on, per-seed trace shards are merged
 /// into the process recorder in seed order, so the exported trace matches

@@ -183,7 +183,6 @@ MulticastResult run_multicast(const MulticastConfig& config) {
     options.preemption = sim::PreemptionModel{0.0, 0.0};
   }
   SimCluster cluster(profile, options, /*use_profile_costs=*/false);
-  cluster.fabric().flows().set_fill_jobs(config.fill_jobs);
 
   std::vector<NodeId> members;
   if (config.members) {
@@ -254,7 +253,6 @@ ConcurrentResult run_concurrent(const ConcurrentConfig& config) {
   options.preemption = profile.preemption;
   options.default_mode = config.completion_mode;
   SimCluster cluster(profile, options, /*use_profile_costs=*/false);
-  cluster.fabric().flows().set_fill_jobs(config.fill_jobs);
 
   // `senders` groups over the same `group_size` members, roots rotated
   // (the Fig 10 overlap pattern).

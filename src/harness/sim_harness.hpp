@@ -183,10 +183,6 @@ struct MulticastConfig {
   bool cross_channel = false;
   /// Zero out software costs/preemption (pure network behaviour).
   bool ideal_software = false;
-  /// Worker threads for component-parallel max-min fills inside one sim
-  /// step (FlowNetwork::set_fill_jobs). 1 = serial; any value produces
-  /// byte-identical results, so this is purely a wall-clock knob.
-  std::size_t fill_jobs = 1;
 };
 
 struct MulticastResult {
@@ -216,8 +212,6 @@ struct ConcurrentConfig {
   std::size_t block_size = 1 << 20;
   std::size_t messages = 4;
   fabric::CompletionMode completion_mode = fabric::CompletionMode::kHybrid;
-  /// See MulticastConfig::fill_jobs.
-  std::size_t fill_jobs = 1;
 };
 
 struct ConcurrentResult {

@@ -41,9 +41,9 @@ ClusterProfile apt_profile(std::size_t num_nodes = 64);
 
 /// Apt-style racked profile with explicit geometry: `oversubscription` is
 /// the ratio of aggregate intra-rack NIC bandwidth to uplink capacity
-/// (1.0 = non-blocking, apt's stock geometry is 16*56/256 = 3.5). The
-/// hierarchical water-fill solver targets exactly this shape — tests and
-/// benches use it to sweep rack size and uplink pressure independently.
+/// (1.0 = non-blocking, apt's stock geometry is 16*56/256 = 3.5). Max-min
+/// components here couple through the shared uplinks — tests and benches
+/// use it to sweep rack size and uplink pressure independently.
 ClusterProfile racked_profile(std::size_t num_nodes,
                               std::size_t nodes_per_rack,
                               double oversubscription,

@@ -9,7 +9,6 @@
 #include <numeric>
 
 #include "obs/trace.hpp"
-#include "util/parallel.hpp"
 
 namespace rdmc::sim {
 
@@ -522,7 +521,7 @@ void FlowNetwork::reallocate_dirty() {
       // a single bottleneck elimination over a disconnected span is still
       // exact (each component freezes at its own saturations; the shared
       // rising level only interleaves them), and none of the split's
-      // payoffs (dirty skip, parallel dispatch) engage at this size.
+      // payoff (the dirty-component skip) engages at this size.
       // Expansion rounds merge the fresh flows into the components they
       // touch (merge_expansion) instead of re-running the global BFS;
       // components that gained no flow keep their round-one rates
@@ -617,7 +616,6 @@ void FlowNetwork::reallocate_dirty() {
 void FlowNetwork::fill_prepare(CompSpan& comp, std::uint64_t local_mark) {
   const std::uint64_t fill = ++epoch_;
   comp.fill = fill;
-  comp.has_coupling = false;
   Resource* const* res = split_res_.data() + comp.res_off;
   std::uint32_t ordinal = 0;
   // One pass over each member list: split it into local/boundary arena
@@ -627,9 +625,6 @@ void FlowNetwork::fill_prepare(CompSpan& comp, std::uint64_t local_mark) {
   for (std::uint32_t ri = 0; ri < comp.res_cnt; ++ri) {
     Resource* r = res[ri];
     assert(!r->members.empty());
-    if (r->kind == Resource::Kind::kRackUp ||
-        r->kind == Resource::Kind::kRackDown)
-      comp.has_coupling = true;
     double rem = r->cap;
     double usage_b = 0.0, max_b = 0.0;
     double min_b = std::numeric_limits<double>::infinity();
@@ -716,8 +711,7 @@ void FlowNetwork::res_heap_remove(std::vector<Resource*>& heap, Resource* r) {
   }
 }
 
-std::uint64_t FlowNetwork::fill_exact(const CompSpan& comp,
-                                      std::vector<Resource*>& heap) const {
+std::uint64_t FlowNetwork::fill_exact(const CompSpan& comp) {
   // --- Max-min fairness by exact bottleneck elimination. Every resource
   // sits in an indexed min-heap keyed by its estimated exhaust level
   // lambda + rem/live (ties by component ordinal, so the fill depends only
@@ -731,10 +725,8 @@ std::uint64_t FlowNetwork::fill_exact(const CompSpan& comp,
   //
   // Boundary flows were already subtracted from capacity by fill_prepare
   // and the local arena slices hold exactly the local members, so no
-  // boundary member is even visited. All mutable state is the component's
-  // own (its resources, its flows' slot-indexed scratch) plus the caller's
-  // heap — concurrent fills of distinct components never touch the same
-  // word, which is what set_fill_jobs relies on.
+  // boundary member is even visited.
+  std::vector<Resource*>& heap = res_heap_;
   Resource* const* res = split_res_.data() + comp.res_off;
   const std::uint64_t fill = comp.fill;
   heap.clear();
@@ -793,26 +785,9 @@ std::uint64_t FlowNetwork::fill_exact(const CompSpan& comp,
         if (r2 == r) continue;
         if (r2->live == 0) {
           // Drained: all its participants froze elsewhere. Out of the
-          // heap — it can never pop. On *coupled* components (crossing a
-          // rack uplink) the saturation mark is canonical — a function of
-          // the final rates, not of elimination order: on an exact level
-          // tie a resource can drain here (its last member frozen by the
-          // tied peer) instead of popping, and an exhausted resource left
-          // unmarked drops out of validate_boundary's hog check. So it is
-          // marked whether it popped or drained, at its highest member
-          // rate (== the pop level when it did pop; max_local is final
-          // here because this freeze was its last). Dropping the branch
-          // leaves every BENCH_core virtual time unchanged but moves the
-          // Fig 10b racked bandwidth in the last bits, so it stays.
-          // Uncoupled components keep pop-only marks: marking every
-          // drained-at-cap NIC of a jittered pipeline floods may_hog with
-          // near-tie expansions (2x wall at the 16384-node Fig 8 point).
+          // heap — it can never pop, and it carries no saturation mark
+          // (see DESIGN.md §4: only popped resources are marked).
           res_heap_remove(heap, r2);
-          if (comp.has_coupling && r2->usage_b + r2->usage_local >=
-                                       r2->cap * (1.0 - kExpandTol)) {
-            r2->sat_lambda = r2->max_local;
-            r2->sat_fill = fill;
-          }
         } else {
           r2->fill_key = lambda + r2->rem / r2->live;
           const std::uint32_t pos = r2->fill_pos;
@@ -960,39 +935,20 @@ void FlowNetwork::merge_expansion(std::size_t fresh_begin) {
 // ------------------------------------------------------------ fill phase --
 
 void FlowNetwork::fill_dirty_components(std::uint64_t mark) {
-  // Two phases. (1) Serial: prepare each dirty component (fresh fill epoch,
-  // arena slices, residual capacities) and queue it. (2) Possibly parallel:
-  // fill the queue — each fill reads/writes only its own resources and
-  // flow slots, and workers reuse a private heap across the fills they
-  // claim. Pops are parked per fill and summed serially afterwards, so the
-  // counters are byte-identical for any job count.
+  // Prepare and fill each dirty component in canonical order. A prepare
+  // reads only the committed rate_ and writes only its own component's
+  // resources, so interleaving it with the previous component's fill
+  // changes nothing.
   local_arena_.clear();
   boundary_arena_.clear();
-  fill_comps_.clear();
-  std::size_t total_flows = 0;
-  for (std::uint32_t ci = 0; ci < comps_.size(); ++ci) {
-    CompSpan& comp = comps_[ci];
+  for (CompSpan& comp : comps_) {
     if (!comp.dirty || comp.dead) continue;
     ++counters_.component_fills;
     counters_.max_component =
         std::max<std::uint64_t>(counters_.max_component, comp.flow_cnt);
     fill_prepare(comp, mark);
-    fill_comps_.push_back(ci);
-    total_flows += comp.flow_cnt;
+    counters_.filling_rounds += fill_exact(comp);
   }
-  const std::size_t nfill = fill_comps_.size();
-  fill_pops_.assign(nfill, 0);
-  if (fill_jobs_ > 1 && nfill > 1 && total_flows >= kParallelMinFlows) {
-    worker_heaps_.resize(fill_jobs_);
-    util::parallel_for_workers(
-        nfill, fill_jobs_, [&](std::size_t w, std::size_t i) {
-          fill_pops_[i] = fill_exact(comps_[fill_comps_[i]], worker_heaps_[w]);
-        });
-  } else {
-    for (std::size_t i = 0; i < nfill; ++i)
-      fill_pops_[i] = fill_exact(comps_[fill_comps_[i]], res_heap_);
-  }
-  for (const std::uint64_t pops : fill_pops_) counters_.filling_rounds += pops;
 }
 
 // --------------------------------------------------- progressive oracle --
@@ -1114,7 +1070,7 @@ bool FlowNetwork::rates_match_full_recompute(double rel_tol,
     local_arena_.clear();
     boundary_arena_.clear();
     fill_prepare(comp, 0);
-    fill_exact(comp, res_heap_);  // rounds deliberately uncounted
+    fill_exact(comp);  // rounds deliberately uncounted
   } else {
     water_fill_progressive(all_flows, all_resources);
   }

@@ -26,18 +26,14 @@
 //     recomputation of the affected connected component;
 //   * the affected set is split into its *connected components* (flows
 //     linked through shared in-set resources) and every component is
-//     prepared, filled and boundary-validated independently. At a
-//     lock-step boundary the local set is a union of hundreds of disjoint
-//     few-flow components — one per completing/starting transfer pair —
-//     which one joint fill would handle as a single giant heap. Splitting
-//     makes the cost Σ O(k_i log k_i) instead of O(K log K), lets an
-//     expansion round refill only the components that actually grew
-//     (everyone else's scratch rates and aggregates stand), and makes the
-//     fills *independent*: with set_fill_jobs(N > 1), the component fills
-//     of one round run on the shared util::parallel_for pool. Components
-//     are dispatched and their results merged in canonical component
-//     order and each worker fills into disjoint slot/resource scratch, so
-//     counters, rates and traces are byte-identical for any N;
+//     prepared, filled and boundary-validated independently, in canonical
+//     component order. At a lock-step boundary the local set is a union of
+//     hundreds of disjoint few-flow components — one per completing/starting
+//     transfer pair — which one joint fill would handle as a single giant
+//     heap. Splitting makes the cost Σ O(k_i log k_i) instead of
+//     O(K log K) and lets an expansion round refill only the components
+//     that actually grew (everyone else's scratch rates and aggregates
+//     stand);
 //   * each fill runs the *exact bottleneck-elimination* algorithm: every
 //     resource sits in an indexed min-heap keyed by its saturation level
 //     (residual capacity / unfrozen degree); the minimum pops, its flows
@@ -132,13 +128,6 @@ class FlowNetwork {
   /// algorithm; divergence aborts. Defaults to on in assert-enabled builds,
   /// off in NDEBUG builds.
   void set_cross_check(bool on) { cross_check_ = on; }
-
-  /// Worker threads for component-parallel filling inside one reallocation
-  /// (default 1 = inline). Results are byte-identical for any value: the
-  /// components of a flow-set change are independent sub-problems writing
-  /// disjoint scratch, dispatched and merged in canonical component order.
-  void set_fill_jobs(std::size_t jobs) { fill_jobs_ = jobs ? jobs : 1; }
-  std::size_t fill_jobs() const { return fill_jobs_; }
 
   /// Recompute every rate from scratch (ignoring the incremental state) and
   /// compare with the incrementally maintained rates. True when every flow
@@ -250,8 +239,7 @@ class FlowNetwork {
     /// validate. 0 on the round-one pseudo-component, which no merge ever
     /// sees (the first expansion round re-splits it).
     std::uint64_t stamp = 0;
-    bool dirty = false;         // gained a flow this round -> must refill
-    bool has_coupling = false;  // crosses a kRackUp/kRackDown resource
+    bool dirty = false;  // gained a flow this round -> must refill
     /// Absorbed into a merged component by an expansion round; the span is
     /// stale and every phase skips it.
     bool dead = false;
@@ -302,9 +290,9 @@ class FlowNetwork {
   /// are marked dead, merged ones appended dirty; untouched components
   /// keep their spans, rates and verdicts.
   void merge_expansion(std::size_t fresh_begin);
-  /// Prepare + fill (possibly parallel across components) every dirty
-  /// component in comps_. Fills rates/bottlenecks scratch and the
-  /// per-resource aggregates; updates the fill counters.
+  /// Prepare + fill every dirty component in comps_, in canonical order.
+  /// Fills rates/bottlenecks scratch and the per-resource aggregates;
+  /// updates the fill counters.
   void fill_dirty_components(std::uint64_t mark);
   /// Check the max-min bottleneck conditions for boundary flows adjacent to
   /// one just-filled component (marked with `mark`); flows whose rates can
@@ -319,17 +307,14 @@ class FlowNetwork {
   /// Stamp the component with a fresh fill epoch, split each resource's
   /// member list into local/boundary arena slices, and compute residual
   /// capacity (boundary rates subtracted), unfrozen degree and the
-  /// boundary-side validation aggregates. Sets the span's coupling flag.
-  /// Appends to the round-scoped arenas (cleared by the caller once per
-  /// round).
+  /// boundary-side validation aggregates. Appends to the round-scoped
+  /// arenas (cleared by the caller once per round).
   void fill_prepare(CompSpan& comp, std::uint64_t local_mark);
   /// Exact bottleneck elimination over a prepared component; writes
   /// per-slot rates into rates_scratch_ and freeze resources into
-  /// bottleneck_scratch_. `heap` is caller-provided scratch so component
-  /// fills can run concurrently. Returns the number of filling rounds
-  /// (heap pops) — callers account them, serially.
-  std::uint64_t fill_exact(const CompSpan& comp,
-                           std::vector<Resource*>& heap) const;
+  /// bottleneck_scratch_. Returns the number of filling rounds (heap
+  /// pops); the caller decides whether they count.
+  std::uint64_t fill_exact(const CompSpan& comp);
   /// The pre-optimization progressive lazy-heap water filling, kept as the
   /// independent oracle behind set_cross_check / the property tests.
   void water_fill_progressive(const std::vector<std::uint32_t>& comp_flows,
@@ -375,7 +360,7 @@ class FlowNetwork {
   // sized in lockstep with slab_ by alloc_slot.
   std::vector<double> rate_;              // current applied rate
   std::vector<std::uint64_t> visit_epoch_;
-  mutable std::vector<std::uint64_t> freeze_epoch_;
+  std::vector<std::uint64_t> freeze_epoch_;
   std::vector<std::uint64_t> fresh_epoch_;  // joined the set this round
   std::vector<Resource*> bn_applied_;     // applied max-min bottleneck
   std::uint32_t free_head_ = kNone;
@@ -401,21 +386,15 @@ class FlowNetwork {
   std::uint64_t epoch_ = 0;  // shared visit/fill epoch counter
   std::vector<std::uint32_t> comp_flows_;
   std::vector<Resource*> comp_resources_;
-  mutable std::vector<double> rates_scratch_;
-  mutable std::vector<Resource*> bottleneck_scratch_;
-  std::vector<Resource*> res_heap_;      // serial-path fill scratch
+  std::vector<double> rates_scratch_;
+  std::vector<Resource*> bottleneck_scratch_;
+  std::vector<Resource*> res_heap_;      // exact-fill heap
   std::vector<FillEntry> fill_heap_;     // progressive oracle (lazy)
   // Component split output: flows/resources grouped per component in
   // canonical order, sliced by comps_.
   std::vector<std::uint32_t> split_flows_;
   std::vector<Resource*> split_res_;
   std::vector<CompSpan> comps_;
-  // Round-scoped fill queue for the (possibly parallel) fill phase.
-  std::vector<std::uint32_t> fill_comps_;  // indices into comps_
-  std::vector<std::uint64_t> fill_pops_;   // per-fill filling rounds
-  // Per-worker fill-heap scratch for the parallel dispatch (reused across
-  // the items each worker claims instead of allocating per item).
-  std::vector<std::vector<Resource*>> worker_heaps_;
   // Per-fill member split (slices per resource via lmem_off/bmem_off):
   // the fill freeze loops walk exactly the local members and
   // validate_boundary exactly the boundary members, instead of filtering
@@ -423,18 +402,12 @@ class FlowNetwork {
   std::vector<std::uint32_t> local_arena_;
   std::vector<std::uint32_t> boundary_arena_;
 
-  std::size_t fill_jobs_ = 1;
-  /// Parallel dispatch is worth a thread wake only for big rounds: fills
-  /// totalling fewer local flows than this fill inline even when
-  /// fill_jobs_ > 1 (identical results either way — the gate is
-  /// deterministic).
-  static constexpr std::size_t kParallelMinFlows = 512;
   /// Local sets smaller than this skip the component BFS and fill as one
   /// pseudo-component (the pre-split behaviour — a single bottleneck
-  /// elimination handles a disconnected span correctly). Everything the
-  /// split enables (dirty-component skip, parallel dispatch) only engages
-  /// on large sets, so splitting tiny steady-state
-  /// rounds is pure BFS overhead (~20% of fig8 wall when measured).
+  /// elimination handles a disconnected span correctly). What the split
+  /// enables (the dirty-component skip) only engages on large sets, so
+  /// splitting tiny steady-state rounds is pure BFS overhead (~20% of fig8
+  /// wall when measured).
   static constexpr std::size_t kSplitMinFlows = 64;
 
   /// Local-set growth rounds before giving up and recomputing the whole

@@ -1,13 +1,14 @@
 // Deterministic work-sharing executor: invoke fn(i) for i in [0, count)
 // on up to `jobs` threads, blocking until the range drains.
 //
-// This is the one thread pool in the tree. It started life as the harness
-// sweep executor (chaos seeds, figure points — each item a whole
-// simulation); the simulator core now also dispatches *intra-step* work on
-// it: independent max-min components (and rack islands of the hierarchical
-// solver) within a single reallocation. It therefore lives in util, below
-// both sim and harness; harness/parallel.hpp re-exports it under the old
-// name for the sweep callers.
+// This is the one thread pool in the tree, and its callers are sweeps:
+// every sweep in this repo — chaos seeds, figure points, ablation cells —
+// is embarrassingly parallel. Each item builds its own SimCluster (own
+// Simulator, FlowNetwork, MetricsRegistry) and shares nothing with its
+// neighbours. The only process-wide state a simulation touches is the
+// TraceRecorder singleton, which workers redirect per item with
+// obs::TraceRecorder::ThreadShard so the merged trace comes out in input
+// order (see run_chaos_campaign).
 //
 // Scheduling is a single shared atomic cursor: workers claim the next
 // unclaimed index until the range is drained, so a slow item never stalls
@@ -32,15 +33,5 @@ std::size_t default_jobs();
 /// the pool drains.
 void parallel_for(std::size_t count, std::size_t jobs,
                   const std::function<void(std::size_t)>& fn);
-
-/// Like parallel_for, but the callback also receives the worker ordinal
-/// (0 <= worker < jobs) that claimed the index. Callers hand each worker a
-/// private scratch slot (heaps, arenas) that is reused across the items it
-/// claims, instead of allocating per item. Which worker claims which index
-/// is nondeterministic — only per-index results may depend on `index`, and
-/// scratch must carry no state between items beyond capacity.
-void parallel_for_workers(
-    std::size_t count, std::size_t jobs,
-    const std::function<void(std::size_t worker, std::size_t index)>& fn);
 
 }  // namespace rdmc::util

@@ -3,7 +3,11 @@
 // their own coverage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "harness/sim_harness.hpp"
+#include "sim/flow_network.hpp"
 
 namespace rdmc::harness {
 namespace {
@@ -88,6 +92,55 @@ TEST(Harness, HybridConfigRuns) {
   cfg.hybrid_racks = racks;
   const auto r = run_multicast(cfg);
   EXPECT_GT(r.bandwidth_gbps, 1.0);
+}
+
+// Release builds define NDEBUG, which turns the flow solver's progressive
+// oracle off. This runs a coupled end-to-end workload with it on: 8
+// rotated-root groups of 64 on 3.5:1 oversubscribed racks, so components
+// couple through the shared uplinks. Every reallocation is checked against
+// a from-scratch water filling (divergence aborts), and the oracle must
+// not perturb the run: the makespan is bit-equal to run_concurrent's.
+TEST(Harness, ConcurrentRackedRunPassesOracle) {
+  ConcurrentConfig cfg;
+  cfg.profile = sim::racked_profile(64, 16, 3.5);
+  cfg.group_size = 64;
+  cfg.senders = 8;
+  cfg.message_bytes = 2ull << 20;
+  cfg.messages = 1;
+  const auto reference = run_concurrent(cfg);
+
+  fabric::SimFabric::Options options;
+  options.costs = cfg.profile.costs;
+  options.preemption = cfg.profile.preemption;
+  options.default_mode = cfg.completion_mode;
+  SimCluster cluster(cfg.profile, options, /*use_profile_costs=*/false);
+  cluster.fabric().flows().set_cross_check(true);
+  std::vector<SimCluster::GroupRecord*> recs;
+  for (std::size_t g = 0; g < cfg.senders; ++g) {
+    std::vector<NodeId> members{static_cast<NodeId>(g)};
+    for (std::size_t i = 0; i < cfg.group_size; ++i)
+      if (i != g) members.push_back(static_cast<NodeId>(i));
+    GroupOptions group_options;
+    group_options.block_size = cfg.block_size;
+    recs.push_back(&cluster.create_group(static_cast<GroupId>(g), members,
+                                         group_options));
+  }
+  const double start = cluster.sim().now();
+  for (std::size_t g = 0; g < cfg.senders; ++g)
+    ASSERT_TRUE(cluster.node(static_cast<NodeId>(g))
+                    .send(static_cast<GroupId>(g), nullptr,
+                          cfg.message_bytes));
+  cluster.run_to_quiescence();
+
+  double last = start;
+  for (const auto* rec : recs) {
+    for (std::size_t m = 1; m < rec->members.size(); ++m) {
+      ASSERT_EQ(rec->delivery_times[m].size(), 1u) << "member " << m;
+      last = std::max(last, rec->delivery_times[m].back());
+    }
+  }
+  EXPECT_GT(cluster.fabric().flows().counters().cross_checks, 0u);
+  EXPECT_EQ(last - start, reference.makespan_seconds);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Parallel sweep executor: determinism and correctness guarantees.
 //
-// The executor's contract (harness/parallel.hpp) is that fanning a sweep
+// The executor's contract (util/parallel.hpp) is that fanning a sweep
 // over worker threads changes nothing observable: every index runs exactly
 // once, results land in input-ordered slots, and a traced chaos campaign
 // exports byte-for-byte the same JSON as a serial run — per-seed events are
@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "harness/chaos.hpp"
-#include "harness/parallel.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
+#include "util/parallel.hpp"
 
 namespace rdmc::harness {
 namespace {
@@ -24,21 +24,22 @@ TEST(ParallelFor, RunsEveryIndexOnce) {
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{3},
                                  std::size_t{8}, std::size_t{100}}) {
     std::vector<std::atomic<int>> hits(57);
-    parallel_for(hits.size(), jobs,
-                 [&](std::size_t i) { hits[i].fetch_add(1); });
+    util::parallel_for(hits.size(), jobs,
+                       [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << ", jobs " << jobs;
   }
   // Empty range: no calls, no hang.
-  parallel_for(0, 4, [](std::size_t) { FAIL() << "called on empty range"; });
+  util::parallel_for(0, 4,
+                     [](std::size_t) { FAIL() << "called on empty range"; });
 }
 
 TEST(ParallelFor, PropagatesFirstException) {
   EXPECT_THROW(
-      parallel_for(16, 4,
-                   [](std::size_t i) {
-                     if (i % 5 == 0) throw std::runtime_error("boom");
-                   }),
+      util::parallel_for(16, 4,
+                         [](std::size_t i) {
+                           if (i % 5 == 0) throw std::runtime_error("boom");
+                         }),
       std::runtime_error);
 }
 

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "analysis/model.hpp"
 #include "baselines/mpi_bcast.hpp"
+#include "core/group.hpp"
 #include "harness/sim_harness.hpp"
 #include "util/bytes.hpp"
 #include "util/random.hpp"
@@ -380,6 +382,102 @@ TEST(RdmcSim, DeterministicAcrossRuns) {
   const auto a = run_multicast(cfg);
   const auto b = run_multicast(cfg);
   EXPECT_DOUBLE_EQ(a.total_seconds, b.total_seconds);
+}
+
+// -- Node completion routing ----------------------------------------------
+// Two safeguards in Node::on_completion / register_qp, driven on Node
+// directly (SimCluster::create_group would create every member at once).
+
+/// What one member's side of a group observed.
+struct MemberProbe {
+  std::size_t delivered = 0;
+  std::size_t failures = 0;
+};
+
+/// Create `node`'s side of `group` (phantom receive regions, 64 KB
+/// blocks), reporting into `probe`.
+bool join(SimCluster& cluster, NodeId node, GroupId group,
+          const std::vector<NodeId>& members, MemberProbe& probe) {
+  GroupOptions options;
+  options.block_size = 64 << 10;
+  return cluster.node(node).create_group(
+      group, members, options,
+      [](std::size_t size) { return fabric::MemoryView{nullptr, size}; },
+      [&probe](std::byte*, std::size_t) { ++probe.delivered; },
+      [&probe](GroupId, NodeId) { ++probe.failures; });
+}
+
+TEST(NodeRouting, EarlyCreditIsReplayedOnRegistration) {
+  // create_group is collective but unsynchronised: here both receivers
+  // finish theirs, and their ready-for-block credits reach the root, before
+  // the root creates its side. The root's Node must buffer those credits
+  // and replay them when the group registers its queue pairs; without the
+  // replay the root never learns it may send, and nothing delivers.
+  SimCluster cluster(ideal_fractus(4));
+  const std::vector<NodeId> members{0, 1, 2};
+  MemberProbe probes[3];
+  ASSERT_TRUE(join(cluster, 1, 1, members, probes[1]));
+  ASSERT_TRUE(join(cluster, 2, 1, members, probes[2]));
+  cluster.sim().run();  // every credit lands while the root has no group
+  EXPECT_GT(cluster.sim().now(), 0.0);
+
+  ASSERT_TRUE(join(cluster, 0, 1, members, probes[0]));
+  ASSERT_TRUE(cluster.node(0).send(1, nullptr, 1 << 20));
+  cluster.sim().run();
+  for (NodeId m = 1; m < 3; ++m) {
+    EXPECT_EQ(probes[m].delivered, 1u) << "member " << m;
+    EXPECT_EQ(probes[m].failures, 0u) << "member " << m;
+  }
+  EXPECT_EQ(cluster.node(0).group(1)->stats().messages_sent, 1u);
+}
+
+TEST(NodeRouting, DeadEpochCompletionsAreQuarantined) {
+  // Mid-transfer, the root->rank1 link breaks and every member destroys
+  // group 1 in the same instant. The break's disconnects and flushes, and
+  // the block receives and credits already in flight, then arrive at
+  // retired queue pairs. They must be dropped: none may reach group 2,
+  // re-formed on the same nodes under a fresh id.
+  SimCluster cluster(ideal_fractus(4));
+  const std::vector<NodeId> members{0, 1, 2};
+  MemberProbe old_epoch[3];
+  for (NodeId m = 0; m < 3; ++m)
+    ASSERT_TRUE(join(cluster, m, 1, members, old_epoch[m]));
+  ASSERT_TRUE(cluster.node(0).send(1, nullptr, 4 << 20));
+  const auto& faults = cluster.fabric().fault_counters();
+  std::uint64_t dead_epoch = 0;
+  cluster.sim().after(100e-6, [&] {
+    const std::uint64_t before =
+        faults.flushed_completions + faults.disconnects_delivered;
+    cluster.fabric().break_link(0, 1);
+    dead_epoch =
+        faults.flushed_completions + faults.disconnects_delivered - before;
+    for (NodeId m = 0; m < 3; ++m) cluster.node(m).destroy_group(1);
+  });
+  cluster.sim().run();
+  EXPECT_GT(dead_epoch, 0u) << "the teardown raced no completions";
+  for (NodeId m = 0; m < 3; ++m) {
+    EXPECT_EQ(old_epoch[m].delivered, 0u) << "member " << m;
+    EXPECT_EQ(old_epoch[m].failures, 0u) << "member " << m;
+    EXPECT_EQ(cluster.node(m).group(1), nullptr);
+  }
+
+  MemberProbe new_epoch[3];
+  for (NodeId m = 0; m < 3; ++m)
+    ASSERT_TRUE(join(cluster, m, 2, members, new_epoch[m]));
+  ASSERT_TRUE(cluster.node(0).send(2, nullptr, 4 << 20));
+  cluster.sim().run();
+  constexpr std::uint64_t kBlocks = (4 << 20) / (64 << 10);
+  for (NodeId m = 0; m < 3; ++m) {
+    const Group::Stats& stats = cluster.node(m).group(2)->stats();
+    EXPECT_FALSE(cluster.node(m).group_failed(2)) << "member " << m;
+    EXPECT_EQ(new_epoch[m].failures, 0u) << "member " << m;
+    EXPECT_EQ(stats.flushed_completions, 0u) << "member " << m;
+    EXPECT_EQ(stats.disconnects, 0u) << "member " << m;
+    EXPECT_EQ(stats.duplicate_blocks, 0u) << "member " << m;
+    if (m == 0) continue;
+    EXPECT_EQ(new_epoch[m].delivered, 1u) << "member " << m;
+    EXPECT_EQ(stats.blocks_received, kBlocks) << "member " << m;
+  }
 }
 
 }  // namespace

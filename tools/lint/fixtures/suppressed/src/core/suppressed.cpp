@@ -3,9 +3,7 @@
 // rdmc-lint comment from a copy and asserts every rule then fires
 // (round-trip).
 #include <chrono>
-#include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -44,21 +42,4 @@ double fp_sum(const std::vector<double>& xs) {
 class Guard {
   // rdmc-lint: allow(raw-mutex) fixture: pretend TSA cannot model this one
   mutable std::mutex mutex_;
-};
-
-template <typename F>
-void parallel_for(std::size_t n, std::size_t jobs, F f);
-
-class Tally {
-  struct Counters {
-    std::uint64_t filling_rounds = 0;
-  };
-  Counters counters_;
-
-  void count(std::size_t n) {
-    parallel_for(n, 4, [&](std::size_t) {
-      // rdmc-lint: allow(parallel-shared-write) fixture: pretend this counter is atomic
-      ++counters_.filling_rounds;
-    });
-  }
 };

@@ -25,7 +25,6 @@ ALL_RULES = (
     "pointer-order",
     "float-accumulate",
     "raw-mutex",
-    "parallel-shared-write",
 )
 
 failures = []
@@ -63,7 +62,6 @@ def main():
         ("pointer-order", "bad/src/util/pointer_order.cpp", 3),
         ("float-accumulate", "bad/bench/float_accumulate.cpp", 1),
         ("raw-mutex", "bad/src/obs/raw_mutex.cpp", 3),
-        ("parallel-shared-write", "bad/src/sim/parallel_shared_write.cpp", 3),
     ]
     for rule, rel, min_count in bad_cases:
         code, out, _ = run_lint([os.path.join(FIXTURES, rel)])
