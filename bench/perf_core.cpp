@@ -180,10 +180,13 @@ int main(int argc, char** argv) {
         p.perf.reallocations
             ? (double)p.perf.flows_touched / (double)p.perf.reallocations
             : 0.0;
-    const double speedup = p.seed_wall_seconds > 0.0 && p.perf.wall_seconds > 0
-                               ? p.seed_wall_seconds / p.perf.wall_seconds
-                               : 0.0;
-    std::printf("%-24s %10.3f %12llu %12llu %12llu %10.1f %8.2fx\n",
+    // Rows without a seed reference print n/a, as BENCH_core.json writes
+    // null for them.
+    char speedup[16] = "n/a";
+    if (p.seed_wall_seconds > 0.0 && p.perf.wall_seconds > 0)
+      std::snprintf(speedup, sizeof speedup, "%.2fx",
+                    p.seed_wall_seconds / p.perf.wall_seconds);
+    std::printf("%-24s %10.3f %12llu %12llu %12llu %10.1f %9s\n",
                 p.name.c_str(), p.perf.wall_seconds,
                 (unsigned long long)p.perf.events_processed,
                 (unsigned long long)p.perf.reallocations,

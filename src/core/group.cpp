@@ -102,7 +102,8 @@ Group::Group(Node& node, GroupId id, std::vector<NodeId> members,
     assert(first_source != UINT32_MAX && "receiver with no incoming blocks");
     for (std::size_t p = 0; p < pairs_.size(); ++p)
       if (pairs_[p].peer_rank == first_source) first_pair_ = p;
-    scratch_.resize(options_.block_size);
+    scratch_ =
+        std::make_unique_for_overwrite<std::byte[]>(options_.block_size);
     arm_first_block();
   }
 }
@@ -195,7 +196,7 @@ void Group::arm_first_block() {
   if (rank_ == 0 || scratch_armed_ || failed_) return;
   Pair& pair = pairs_[first_pair_];
   if (!fabric::ok(pair.qp->post_recv(
-          fabric::MemoryView{scratch_.data(), scratch_.size()},
+          fabric::MemoryView{scratch_.get(), options_.block_size},
           /*wr_id=*/0)))
     return;
   scratch_armed_ = true;
@@ -311,7 +312,7 @@ void Group::on_recv_completion(std::size_t pair_index,
   if (via_scratch && data_ != nullptr) {
     // §4.2: copy the first block from the scratch area to its offset.
     const double c0 = node_.clock()();
-    std::memcpy(data_ + block_offset(block), scratch_.data(),
+    std::memcpy(data_ + block_offset(block), scratch_.get(),
                 block_bytes(block));
     stats_.copy_seconds += node_.clock()() - c0;
   }

@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -155,8 +156,10 @@ class Group : public QpSink {
   std::vector<Pair> pairs_;
   /// Index of the designated first pair (SIZE_MAX for the root).
   std::size_t first_pair_ = SIZE_MAX;
-  /// Scratch landing zone for each message's first block.
-  std::vector<std::byte> scratch_;
+  /// Scratch landing zone (block_size bytes) for each message's first
+  /// block. Left uninitialised: in a phantom simulation nothing writes to
+  /// it, so none of its pages is ever faulted in.
+  std::unique_ptr<std::byte[]> scratch_;
   /// Whether the scratch receive is currently posted and unconsumed.
   bool scratch_armed_ = false;
 

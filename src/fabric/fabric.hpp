@@ -29,6 +29,7 @@
 //   * SimFabric  — discrete-event virtual time at cluster scale (benches).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -238,16 +239,17 @@ class QueuePair {
   /// after close fails. Revocation covers posted UD receives too.
   virtual void close() = 0;
 
-  bool broken() const { return broken_; }
+  bool broken() const { return broken_.load(); }
 
-  /// Backend-internal: mark the QP dead after a connection break.
-  void mark_broken() { broken_ = true; }
+  /// Backend-internal: mark the QP dead after a connection break. Atomic:
+  /// TcpFabric's socket readers mark a QP while other threads post on it.
+  void mark_broken() { broken_.store(true); }
 
  protected:
   QueuePair(QpId id, NodeId peer) : id_(id), peer_(peer) {}
   QpId id_;
   NodeId peer_;
-  bool broken_ = false;
+  std::atomic<bool> broken_{false};
 };
 
 /// Per-node endpoint: owns the node's single completion queue/thread and

@@ -12,22 +12,15 @@
 // buffers, breaks flush posted work.
 #pragma once
 
-#include <atomic>
-#include <deque>
-#include <map>
 #include <memory>
-#include <set>
-#include <thread>
-#include <tuple>
-#include <variant>
+#include <vector>
 
 #include "fabric/datagram.hpp"
 #include "fabric/fabric.hpp"
+#include "fabric/qp_core.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace rdmc::fabric {
-
-class MemFabric;
 
 class MemFabric final : public Fabric, public FaultInjector {
  public:
@@ -74,40 +67,23 @@ class MemFabric final : public Fabric, public FaultInjector {
   /// completion thread is mid-dispatch).
   std::pair<std::size_t, bool> queue_state(NodeId node);
 
-  /// Result of applying a one-sided window write at an endpoint.
-  enum class WindowApply { kOk, kUnknown, kOutOfBounds };
-
  private:
-  struct OobMsg {
-    NodeId from;
-    std::vector<std::byte> payload;
-  };
-  using NodeEvent = std::variant<Completion, OobMsg>;
-
   class MemEndpoint;
-  struct Connection;
-  class MemQueuePair;
+  class MemConnection;
 
-  void deliver(NodeId node, NodeEvent event);
   void deliver_oob(NodeId from, NodeId to, std::vector<std::byte> payload);
-  WindowApply apply_endpoint_window_write(NodeId node,
-                                          std::uint32_t window_id,
-                                          std::uint64_t offset,
-                                          MemoryView src);
 
   std::vector<std::unique_ptr<MemEndpoint>> endpoints_;
-  /// Lock order (DESIGN.md §11): connections_mutex_ before Connection::mutex
-  /// before MemEndpoint::queue_mutex_ (connect() holds it while breaking a
-  /// born-dead connection, which delivers flush completions).
-  mutable util::Mutex connections_mutex_;
-  std::map<std::tuple<NodeId, NodeId, std::uint32_t>,
-           std::unique_ptr<Connection>>
-      connections_ RDMC_GUARDED_BY(connections_mutex_);
-  /// Crashed nodes: their out-of-band mesh is dead too (a crash kills the
-  /// bootstrap TCP connections along with the RDMA sessions).
-  std::set<NodeId> crashed_ RDMC_GUARDED_BY(connections_mutex_);
   DatagramEngine datagrams_;
-  QpId next_qp_id_ RDMC_GUARDED_BY(connections_mutex_) = 1;
+  /// Lock order (DESIGN.md §11): connections_mutex_ before
+  /// RcConnection::mutex_ before WindowTable's and ThreadedEndpoint's queue
+  /// locks (connect() and the fault injections sever connections under
+  /// it, which delivers flush completions).
+  mutable util::Mutex connections_mutex_;
+  /// The connections, and the crashed nodes, whose out-of-band mesh is dead
+  /// too (a crash kills the bootstrap TCP connections along with the RDMA
+  /// sessions).
+  RcConnectionTable connections_ RDMC_GUARDED_BY(connections_mutex_);
 };
 
 }  // namespace rdmc::fabric

@@ -18,14 +18,12 @@
 // flow completion, which the integrity tests rely on.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
-#include <set>
-#include <tuple>
 
 #include "fabric/datagram.hpp"
 #include "fabric/fabric.hpp"
+#include "fabric/qp_core.hpp"
 #include "sim/cluster_profiles.hpp"
 #include "sim/delay_model.hpp"
 #include "sim/flow_network.hpp"
@@ -78,7 +76,7 @@ class SimFabric final : public Fabric, public FaultInjector {
     return datagrams_.counters();
   }
   bool crashed(NodeId node) const override {
-    return crashed_.contains(node);
+    return connections_.crashed(node);
   }
 
   DatagramEngine& datagrams() { return datagrams_; }
@@ -116,8 +114,7 @@ class SimFabric final : public Fabric, public FaultInjector {
 
  private:
   class SimEndpoint;
-  struct Connection;
-  class SimQueuePair;
+  class SimConnection;
   struct NodeState;
 
   /// Schedule `c` for handling on `node`'s virtual CPU; `ready` is the
@@ -150,16 +147,12 @@ class SimFabric final : public Fabric, public FaultInjector {
   Options options_;
   std::vector<std::unique_ptr<SimEndpoint>> endpoints_;
   std::vector<NodeState> node_state_;
-  std::map<std::tuple<NodeId, NodeId, std::uint32_t>,
-           std::unique_ptr<Connection>>
-      connections_;
-  std::set<NodeId> crashed_;
+  RcConnectionTable connections_;
   std::map<std::uint64_t, Degrade> degrades_;
   FaultCounters fault_counters_;
   DatagramEngine datagrams_;
   /// Monotonic id for "udxfer" trace spans (one per datagram on the wire).
   std::uint64_t ud_wire_seq_ = 1;
-  QpId next_qp_id_ = 1;
 };
 
 }  // namespace rdmc::fabric

@@ -115,43 +115,15 @@ class TcpFabric::TcpQueuePair final : public QueuePair {
 // TcpEndpoint: one locally hosted node.
 // ---------------------------------------------------------------------------
 
-class TcpFabric::TcpEndpoint final : public Endpoint {
+class TcpFabric::TcpEndpoint final : public ThreadedEndpoint {
  public:
-  TcpEndpoint(TcpFabric& fabric, NodeId id) : fabric_(fabric), id_(id) {}
+  TcpEndpoint(TcpFabric& fabric, NodeId id)
+      : ThreadedEndpoint(id), fabric_(fabric) {}
 
   ~TcpEndpoint() override { stop(); }
 
   void start_listening(const TcpAddress& address);
   TcpAddress listen_address() const { return listen_address_; }
-
-  NodeId id() const override { return id_; }
-
-  void set_completion_handler(
-      std::function<void(const Completion&)> handler) override {
-    util::MutexLock lock(handler_mutex_);
-    completion_handler_ = std::move(handler);
-  }
-  void set_oob_handler(
-      std::function<void(NodeId, std::span<const std::byte>)> handler)
-      override {
-    util::MutexLock lock(handler_mutex_);
-    oob_handler_ = std::move(handler);
-  }
-  void set_completion_mode(CompletionMode mode) override {
-    mode_.store(mode, std::memory_order_relaxed);
-  }
-  CompletionMode completion_mode() const override {
-    return mode_.load(std::memory_order_relaxed);
-  }
-  void register_window(std::uint32_t window_id, MemoryView region) override {
-    util::MutexLock lock(state_mutex_);
-    windows_[window_id] = region;
-  }
-  void unregister_window(std::uint32_t window_id) override {
-    // state_mutex_ fences in-flight window applications.
-    util::MutexLock lock(state_mutex_);
-    windows_.erase(window_id);
-  }
 
   void send_oob(NodeId to, std::vector<std::byte> payload) override;
 
@@ -163,10 +135,6 @@ class TcpFabric::TcpEndpoint final : public Endpoint {
 
  private:
   struct ChannelRx {
-    struct PostedRecv {
-      MemoryView buf;
-      std::uint64_t wr_id;
-    };
     std::deque<PostedRecv> recvs;
     /// Early arrivals (sender raced our post_recv): kernel TCP has the
     /// bytes either way, so we park them here. Bounded.
@@ -177,32 +145,13 @@ class TcpFabric::TcpEndpoint final : public Endpoint {
     std::deque<PostedRecv> ud_recvs;
   };
 
-  struct OobMsg {
-    NodeId from;
-    std::vector<std::byte> payload;
-  };
-  using NodeEvent = std::variant<Completion, OobMsg>;
-
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void reader_loop(int fd);
   /// Handle one frame from `peer`; false on any protocol/socket error.
   bool handle_frame(int fd, NodeId peer, const FrameHeader& header);
   int dial(NodeId peer) RDMC_REQUIRES(state_mutex_);
-  void push(NodeEvent event);
-  void completion_loop();
-  void slow_dispatch_delay();
-  void dispatch(const NodeEvent& event);
-
- public:
-  void set_slow(std::int64_t delay_ns, std::int64_t until_epoch_ns) {
-    slow_delay_ns_.store(delay_ns, std::memory_order_relaxed);
-    slow_until_.store(until_epoch_ns, std::memory_order_relaxed);
-  }
-
- private:
 
   TcpFabric& fabric_;
-  NodeId id_;
   TcpAddress listen_address_;
   int listen_fd_ = -1;
   std::thread accept_thread_;
@@ -225,26 +174,9 @@ class TcpFabric::TcpEndpoint final : public Endpoint {
   /// (peer, channel) -> receive state.
   std::map<std::pair<NodeId, std::uint32_t>, ChannelRx> rx_
       RDMC_GUARDED_BY(state_mutex_);
-  std::map<std::uint32_t, MemoryView> windows_ RDMC_GUARDED_BY(state_mutex_);
   std::vector<std::thread> reader_threads_ RDMC_GUARDED_BY(state_mutex_);
   std::vector<int> in_fds_ RDMC_GUARDED_BY(state_mutex_);
   std::map<NodeId, bool> severed_ RDMC_GUARDED_BY(state_mutex_);
-
-  util::Mutex handler_mutex_;
-  std::function<void(const Completion&)> completion_handler_
-      RDMC_GUARDED_BY(handler_mutex_);
-  std::function<void(NodeId, std::span<const std::byte>)> oob_handler_
-      RDMC_GUARDED_BY(handler_mutex_);
-  std::atomic<CompletionMode> mode_{CompletionMode::kHybrid};
-  std::atomic<bool> in_dispatch_{false};
-
-  util::Mutex queue_mutex_;
-  util::CondVar cv_;
-  std::deque<NodeEvent> queue_ RDMC_GUARDED_BY(queue_mutex_);
-  bool stopping_ RDMC_GUARDED_BY(queue_mutex_) = false;
-  std::atomic<std::int64_t> slow_delay_ns_{0};
-  std::atomic<std::int64_t> slow_until_{0};  // steady_clock epoch ns; 0=off
-  std::thread completion_thread_;
 
   friend class TcpFabric;
   friend class TcpQueuePair;
@@ -261,7 +193,7 @@ void TcpFabric::TcpEndpoint::start_listening(const TcpAddress& address) {
   ::inet_pton(AF_INET, address.host.c_str(), &addr.sin_addr);
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
       0) {
-    RDMC_LOG_ERROR("tcpfabric", "node %u: bind %s:%u failed: %s", id_,
+    RDMC_LOG_ERROR("tcpfabric", "node %u: bind %s:%u failed: %s", id(),
                    address.host.c_str(), address.port,
                    std::strerror(errno));
     assert(false && "bind failed");
@@ -271,13 +203,14 @@ void TcpFabric::TcpEndpoint::start_listening(const TcpAddress& address) {
   socklen_t len = sizeof bound;
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
   listen_address_ = {address.host, ntohs(bound.sin_port)};
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  completion_thread_ = std::thread([this] { completion_loop(); });
+  // The thread gets the listening socket by value: stop() resets
+  // listen_fd_ while it may still be blocked in accept.
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
 }
 
-void TcpFabric::TcpEndpoint::accept_loop() {
+void TcpFabric::TcpEndpoint::accept_loop(int listen_fd) {
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) return;  // listener closed: shutting down
     set_nodelay(fd);
     util::MutexLock lock(state_mutex_);
@@ -347,24 +280,18 @@ bool TcpFabric::TcpEndpoint::handle_frame(int fd, NodeId peer,
           get_or_create_qp(peer, header.channel));
       std::vector<std::byte> payload(header.length);
       if (!read_exact(fd, payload.data(), header.length)) return false;
-      DatagramEngine& engine = fabric_.datagrams();
       util::MutexLock lock(state_mutex_);
       ChannelRx& rx = rx_[{peer, header.channel}];
-      if (qp->closed_ || rx.ud_recvs.empty() ||
-          rx.ud_recvs.front().buf.size < header.length) {
-        // UD semantics: no posted (or a too-small) UD recv discards the
-        // datagram, never the buffer, and never severs anything.
-        engine.count_no_recv();
-        return true;
-      }
-      const auto recv = rx.ud_recvs.front();
-      rx.ud_recvs.pop_front();
-      if (recv.buf.data != nullptr)
-        std::memcpy(recv.buf.data, payload.data(), header.length);
-      engine.count_delivered();
-      push(Completion{recv.wr_id, WcOpcode::kRecvUd, WcStatus::kSuccess,
-                      static_cast<std::uint32_t>(header.length),
-                      header.immediate, qp->id(), peer});
+      // UD semantics: no posted (or a too-small) UD recv discards the
+      // datagram, never the buffer, and never severs anything.
+      const auto recv =
+          place_datagram(!qp->closed_, rx.ud_recvs,
+                         MemoryView{payload.data(), payload.size()},
+                         fabric_.datagrams());
+      if (recv)
+        push(Completion{recv->wr_id, WcOpcode::kRecvUd, WcStatus::kSuccess,
+                        static_cast<std::uint32_t>(header.length),
+                        header.immediate, qp->id(), peer});
       return true;
     }
     case FrameType::kWriteImm: {
@@ -377,28 +304,18 @@ bool TcpFabric::TcpEndpoint::handle_frame(int fd, NodeId peer,
     case FrameType::kWindowWrite: {
       QueuePair* qp = get_or_create_qp(peer, header.channel);
       // Drain the payload off the socket first, then apply it under the
-      // window lock — the lock fences unregister_window, so the region can
-      // never be freed mid-copy.
+      // window table's lock, which fences unregister_window.
       std::vector<std::byte> payload(header.length);
       if (!read_exact(fd, payload.data(), header.length)) return false;
-      {
-        util::MutexLock lock(state_mutex_);
-        auto it = windows_.find(header.window_id);
-        if (it == windows_.end()) {
-          // Deregistered mid-flight: drop, like DMA after deregistration.
-          return true;
-        }
-        const MemoryView window = it->second;
-        if (window.size < header.length ||
-            header.offset_or_wrid > window.size - header.length) {
-          RDMC_LOG_ERROR("tcpfabric", "window write out of bounds");
-          return false;
-        }
-        if (window.data != nullptr) {
-          std::memcpy(window.data + header.offset_or_wrid, payload.data(),
-                      header.length);
-        }
+      const auto placed =
+          windows().write(header.window_id, header.offset_or_wrid,
+                          MemoryView{payload.data(), payload.size()});
+      if (placed == WindowTable::Write::kOutOfBounds) {
+        RDMC_LOG_ERROR("tcpfabric", "window write out of bounds");
+        return false;
       }
+      // Deregistered mid-flight: drop, like DMA after deregistration.
+      if (placed == WindowTable::Write::kUnknown) return true;
       push(Completion{header.offset_or_wrid, WcOpcode::kRecvWindowWrite,
                       WcStatus::kSuccess,
                       static_cast<std::uint32_t>(header.length),
@@ -448,14 +365,14 @@ int TcpFabric::TcpEndpoint::dial(NodeId peer) {
   }
   if (fd < 0) {
     RDMC_LOG_WARN("tcpfabric", "node %u: dial node %u (%s:%u) failed: %s",
-                  id_, peer, address.host.c_str(), address.port,
+                  id(), peer, address.host.c_str(), address.port,
                   std::strerror(errno));
     return -1;
   }
   set_nodelay(fd);
   FrameHeader hello;
   hello.type = FrameType::kHello;
-  hello.immediate = id_;
+  hello.immediate = id();
   if (!write_all(fd, &hello, sizeof hello)) {
     ::close(fd);
     return -1;
@@ -531,28 +448,11 @@ void TcpFabric::TcpEndpoint::sever_peer(NodeId peer) {
       if (key.first != peer) continue;
       qp->mark_broken();
       auto rx_it = rx_.find(key);
-      if (rx_it != rx_.end()) {
-        // close() fences: a locally closed QP receives nothing.
-        if (!qp->closed_) {
-          for (const auto& recv : rx_it->second.recvs) {
-            flushes.push_back(Completion{recv.wr_id, WcOpcode::kRecv,
-                                         WcStatus::kFlushed, 0, 0, qp->id(),
-                                         peer});
-          }
-          for (const auto& recv : rx_it->second.ud_recvs) {
-            flushes.push_back(Completion{recv.wr_id, WcOpcode::kRecvUd,
-                                         WcStatus::kFlushed, 0, 0, qp->id(),
-                                         peer});
-          }
-        }
-        rx_it->second.recvs.clear();
-        rx_it->second.ud_recvs.clear();
-      }
-      if (!qp->closed_) {
-        flushes.push_back(Completion{0, WcOpcode::kDisconnect,
-                                     WcStatus::kError, 0, 0, qp->id(),
-                                     peer});
-      }
+      if (rx_it != rx_.end())
+        flush_receives(rx_it->second.recvs, rx_it->second.ud_recvs, *qp,
+                       qp->closed_,
+                       [&](const Completion& c) { flushes.push_back(c); });
+      if (!qp->closed_) flushes.push_back(disconnect_of(*qp));
     }
   }
   for (auto& c : flushes) push(c);
@@ -560,8 +460,8 @@ void TcpFabric::TcpEndpoint::sever_peer(NodeId peer) {
 
 void TcpFabric::TcpEndpoint::send_oob(NodeId to,
                                       std::vector<std::byte> payload) {
-  if (to == id_) {
-    push(OobMsg{id_, std::move(payload)});
+  if (to == id()) {
+    push(OobMsg{id(), std::move(payload)});
     return;
   }
   FrameHeader header;
@@ -570,69 +470,8 @@ void TcpFabric::TcpEndpoint::send_oob(NodeId to,
   send_frame(to, header, MemoryView{payload.data(), payload.size()});
 }
 
-void TcpFabric::TcpEndpoint::push(NodeEvent event) {
-  {
-    util::MutexLock lock(queue_mutex_);
-    if (stopping_) return;
-    queue_.push_back(std::move(event));
-  }
-  cv_.notify_one();
-}
-
-void TcpFabric::TcpEndpoint::completion_loop() {
-  util::MutexLock lock(queue_mutex_);
-  while (true) {
-    while (!(stopping_ || !queue_.empty())) cv_.wait(lock);
-    if (stopping_ && queue_.empty()) return;
-    while (!queue_.empty()) {
-      NodeEvent event = std::move(queue_.front());
-      queue_.pop_front();
-      lock.unlock();
-      slow_dispatch_delay();
-      dispatch(event);
-      lock.lock();
-    }
-  }
-}
-
-/// Slow-receiver injection (FaultInjector::slow_node): delay each
-/// completion dispatch while the real-time window is open.
-void TcpFabric::TcpEndpoint::slow_dispatch_delay() {
-  const auto until = slow_until_.load(std::memory_order_relaxed);
-  if (until == 0) return;
-  const auto now =
-      std::chrono::steady_clock::now().time_since_epoch().count();
-  if (now >= until) {
-    slow_until_.store(0, std::memory_order_relaxed);
-    return;
-  }
-  std::this_thread::sleep_for(std::chrono::nanoseconds(
-      slow_delay_ns_.load(std::memory_order_relaxed)));
-}
-
-void TcpFabric::TcpEndpoint::dispatch(const NodeEvent& event) {
-  util::MutexLock lock(handler_mutex_);
-  // The fabric.hpp single-dispatch contract: at most one handler
-  // invocation per node at a time, even while fault injection races
-  // with posts.
-  assert(!in_dispatch_.exchange(true, std::memory_order_relaxed));
-  if (const auto* c = std::get_if<Completion>(&event)) {
-    if (completion_handler_) completion_handler_(*c);
-  } else {
-    const auto& msg = std::get<OobMsg>(event);
-    if (oob_handler_)
-      oob_handler_(msg.from, std::span<const std::byte>(msg.payload));
-  }
-  in_dispatch_.store(false, std::memory_order_relaxed);
-}
-
 void TcpFabric::TcpEndpoint::stop() {
-  {
-    util::MutexLock lock(queue_mutex_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
+  if (!begin_stop()) return;
   if (listen_fd_ >= 0) {
     ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
@@ -663,7 +502,7 @@ void TcpFabric::TcpEndpoint::stop() {
     for (int fd : in_fds_) ::close(fd);
     in_fds_.clear();
   }
-  if (completion_thread_.joinable()) completion_thread_.join();
+  join();
 }
 
 // ---------------------------------------------------------------------------
@@ -687,8 +526,7 @@ void TcpFabric::TcpQueuePair::close() {
 PostResult TcpFabric::TcpQueuePair::post_send(MemoryView buf,
                                               std::uint64_t wr_id,
                                               std::uint32_t immediate) {
-  if (broken()) return PostResult::kQpBroken;
-  if (buf.data && buf.size > 0xFFFFFFFFu) return PostResult::kBadArgs;
+  if (const PostResult r = check_post(broken(), buf); !ok(r)) return r;
   FrameHeader header;
   header.type = FrameType::kSend;
   header.channel = channel_;
@@ -712,8 +550,7 @@ PostResult TcpFabric::TcpQueuePair::post_send(MemoryView buf,
 
 PostResult TcpFabric::TcpQueuePair::post_recv(MemoryView buf,
                                               std::uint64_t wr_id) {
-  if (broken()) return PostResult::kQpBroken;
-  if (buf.data && buf.size > 0xFFFFFFFFu) return PostResult::kBadArgs;
+  if (const PostResult r = check_post(broken(), buf); !ok(r)) return r;
   util::MutexLock lock(owner_.state_mutex_);
   auto& rx = owner_.rx_[{peer_, channel_}];
   if (!rx.pending.empty()) {
@@ -739,8 +576,7 @@ PostResult TcpFabric::TcpQueuePair::post_recv(MemoryView buf,
 PostResult TcpFabric::TcpQueuePair::post_send_ud(MemoryView buf,
                                                  std::uint64_t wr_id,
                                                  std::uint32_t immediate) {
-  if (broken()) return PostResult::kQpBroken;
-  if (buf.data && buf.size > 0xFFFFFFFFu) return PostResult::kBadArgs;
+  if (const PostResult r = check_post(broken(), buf); !ok(r)) return r;
   const auto deliveries =
       owner_.fabric_.datagrams().on_send(owner_.id(), peer_, buf, immediate);
   // Fire-and-forget: completion once the kernel has the surviving bytes
@@ -763,8 +599,7 @@ PostResult TcpFabric::TcpQueuePair::post_send_ud(MemoryView buf,
 
 PostResult TcpFabric::TcpQueuePair::post_recv_ud(MemoryView buf,
                                                  std::uint64_t wr_id) {
-  if (broken()) return PostResult::kQpBroken;
-  if (buf.data && buf.size > 0xFFFFFFFFu) return PostResult::kBadArgs;
+  if (const PostResult r = check_post(broken(), buf); !ok(r)) return r;
   util::MutexLock lock(owner_.state_mutex_);
   owner_.rx_[{peer_, channel_}].ud_recvs.push_back({buf, wr_id});
   return PostResult::kOk;
@@ -772,7 +607,7 @@ PostResult TcpFabric::TcpQueuePair::post_recv_ud(MemoryView buf,
 
 PostResult TcpFabric::TcpQueuePair::post_write_imm(std::uint32_t immediate,
                                                    std::uint64_t wr_id) {
-  if (broken()) return PostResult::kQpBroken;
+  if (const PostResult r = check_post(broken(), {}); !ok(r)) return r;
   FrameHeader header;
   header.type = FrameType::kWriteImm;
   header.channel = channel_;
@@ -787,10 +622,8 @@ PostResult TcpFabric::TcpQueuePair::post_write_imm(std::uint32_t immediate,
 PostResult TcpFabric::TcpQueuePair::post_window_write(
     std::uint32_t window_id, std::uint64_t offset, MemoryView local,
     std::uint32_t immediate, std::uint64_t wr_id, bool signaled) {
-  if (broken()) return PostResult::kQpBroken;
-  if (local.data && local.size > 0xFFFFFFFFu) return PostResult::kBadArgs;
-  if (local.size > 0 && offset > ~std::uint64_t{0} - local.size)
-    return PostResult::kWindowViolation;
+  if (const PostResult r = check_window_post(broken(), local, offset); !ok(r))
+    return r;
   FrameHeader header;
   header.type = FrameType::kWindowWrite;
   header.channel = channel_;
@@ -868,18 +701,8 @@ bool TcpFabric::degrade_link(NodeId, NodeId, double, double) {
 }
 
 bool TcpFabric::slow_node(NodeId node, double factor, double duration_s) {
-  if (node >= endpoints_.size() || !endpoints_[node] || factor <= 1.0 ||
-      duration_s <= 0.0)
-    return false;
-  const auto delay_ns = static_cast<std::int64_t>((factor - 1.0) * 10e3);
-  const auto until = (std::chrono::steady_clock::now() +
-                      std::chrono::duration_cast<
-                          std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double>(duration_s)))
-                         .time_since_epoch()
-                         .count();
-  endpoints_[node]->set_slow(delay_ns, until);
-  return true;
+  return node < endpoints_.size() && endpoints_[node] &&
+         endpoints_[node]->slow(factor, duration_s);
 }
 
 bool TcpFabric::crashed(NodeId node) const {

@@ -27,16 +27,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <string>
-#include <thread>
-#include <variant>
 #include <vector>
 
 #include "fabric/datagram.hpp"
 #include "fabric/fabric.hpp"
+#include "fabric/qp_core.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace rdmc::fabric {
@@ -94,7 +91,6 @@ class TcpFabric final : public Fabric, public FaultInjector {
  private:
   class TcpEndpoint;
   class TcpQueuePair;
-  struct PeerLink;
 
   TcpEndpoint* local(NodeId node) const;
 

@@ -191,25 +191,6 @@ TEST(SimFaultInjector, ConnectToCrashedNodeIsBornBroken) {
   EXPECT_EQ(disconnects, 1u);
 }
 
-TEST(PostResult, LocalArgumentChecks) {
-  sim::Simulator sim;
-  sim::Topology topo(sim::TopologyConfig{.num_nodes = 2, .nic_gbps = 100.0});
-  fabric::SimFabric fabric(sim, topo, {});
-  fabric.endpoint(0).set_completion_handler([](const fabric::Completion&) {});
-  fabric.endpoint(1).set_completion_handler([](const fabric::Completion&) {});
-  auto* qp = fabric.connect(0, 1, 0);
-  // A real (non-phantom) payload must fit the 32-bit byte_len field.
-  auto* fake = reinterpret_cast<std::byte*>(0x1000);
-  EXPECT_EQ(qp->post_send(fabric::MemoryView{fake, 5ull << 30}, 1, 0),
-            fabric::PostResult::kBadArgs);
-  // Window writes must not wrap the 64-bit window address space.
-  std::byte buf[64];
-  EXPECT_EQ(qp->post_window_write(0, ~std::uint64_t{0} - 8,
-                                  fabric::MemoryView{buf, sizeof buf}, 0, 2,
-                                  true),
-            fabric::PostResult::kWindowViolation);
-}
-
 // ------------------------------------------------ fault plans -------------
 
 TEST(FaultPlan, DeterministicPerSeed) {

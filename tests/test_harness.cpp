@@ -3,7 +3,11 @@
 // their own coverage.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <numeric>
 #include <vector>
 
 #include "harness/sim_harness.hpp"
@@ -11,6 +15,36 @@
 
 namespace rdmc::harness {
 namespace {
+
+/// Resident set size of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  unsigned long pages = 0, resident = 0;
+  const bool read = f != nullptr && std::fscanf(f, "%lu %lu", &pages,
+                                                &resident) == 2;
+  if (f != nullptr) std::fclose(f);
+  EXPECT_TRUE(read);
+  return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// A cluster-scale group moves phantom bytes, so its receivers' first-block
+// scratch must stay untouched: 1024 members with 1 MB blocks may not fault
+// in a block per member.
+TEST(Harness, GroupMemoryDoesNotScaleWithBlockSize) {
+  constexpr std::size_t kMembers = 1024;
+  SimCluster cluster(sim::sierra_profile(kMembers));
+  std::vector<NodeId> members(kMembers);
+  std::iota(members.begin(), members.end(), NodeId{0});
+  GroupOptions options;
+  options.algorithm = sched::Algorithm::kBinomialPipeline;
+  options.block_size = std::size_t{1} << 20;
+  const std::size_t before = resident_bytes();
+  cluster.create_group(1, members, options);
+  const std::size_t after = resident_bytes();
+  const std::size_t growth = after > before ? after - before : 0;
+  EXPECT_LT(growth, kMembers * (std::size_t{256} << 10))
+      << "resident set grew " << (growth >> 20) << " MB";
+}
 
 TEST(Harness, RunOneReportsMakespan) {
   SimCluster cluster(sim::fractus_profile(4));

@@ -37,63 +37,6 @@ std::vector<std::byte> pattern(std::size_t size, std::uint64_t seed) {
   return v;
 }
 
-TEST(TcpFabric, BasicSendRecv) {
-  std::mutex m;
-  std::condition_variable cv;
-  std::vector<fabric::Completion> r1;
-  fabric::TcpFabric fabric(loopback(2), all_nodes(2));
-  fabric.endpoint(1).set_completion_handler(
-      [&](const fabric::Completion& c) {
-        std::lock_guard lock(m);
-        r1.push_back(c);
-        cv.notify_all();
-      });
-  fabric.endpoint(0).set_completion_handler([](const fabric::Completion&) {});
-
-  fabric::QueuePair* qp0 = fabric.connect(0, 1, 3);
-  fabric::QueuePair* qp1 = fabric.connect(1, 0, 3);
-  auto payload = pattern(5000, 1);
-  std::vector<std::byte> dst(5000);
-  ASSERT_TRUE(ok(qp1->post_recv(fabric::MemoryView{dst.data(), dst.size()}, 7)));
-  ASSERT_TRUE(ok(qp0->post_send(
-      fabric::MemoryView{payload.data(), payload.size()}, 8, 1234)));
-  std::unique_lock lock(m);
-  ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return !r1.empty(); }));
-  EXPECT_EQ(r1[0].opcode, fabric::WcOpcode::kRecv);
-  EXPECT_EQ(r1[0].immediate, 1234u);
-  EXPECT_EQ(r1[0].wr_id, 7u);
-  EXPECT_EQ(dst, payload);
-}
-
-TEST(TcpFabric, EarlySendParksUntilRecvPosted) {
-  std::mutex m;
-  std::condition_variable cv;
-  std::vector<fabric::Completion> r1;
-  fabric::TcpFabric fabric(loopback(2), all_nodes(2));
-  fabric.endpoint(1).set_completion_handler(
-      [&](const fabric::Completion& c) {
-        std::lock_guard lock(m);
-        r1.push_back(c);
-        cv.notify_all();
-      });
-  fabric.endpoint(0).set_completion_handler([](const fabric::Completion&) {});
-  fabric::QueuePair* qp0 = fabric.connect(0, 1, 0);
-  fabric::QueuePair* qp1 = fabric.connect(1, 0, 0);
-  auto payload = pattern(100, 2);
-  ASSERT_TRUE(ok(qp0->post_send(
-      fabric::MemoryView{payload.data(), payload.size()}, 1, 5)));
-  std::this_thread::sleep_for(30ms);
-  {
-    std::lock_guard lock(m);
-    EXPECT_TRUE(r1.empty());
-  }
-  std::vector<std::byte> dst(100);
-  ASSERT_TRUE(ok(qp1->post_recv(fabric::MemoryView{dst.data(), dst.size()}, 2)));
-  std::unique_lock lock(m);
-  ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return !r1.empty(); }));
-  EXPECT_EQ(dst, payload);
-}
-
 TEST(TcpFabric, WindowWriteAndImm) {
   std::mutex m;
   std::condition_variable cv;
@@ -121,31 +64,6 @@ TEST(TcpFabric, WindowWriteAndImm) {
   EXPECT_EQ(std::memcmp(window.data() + 16, payload.data(), 40), 0);
   EXPECT_EQ(r1[1].opcode, fabric::WcOpcode::kRecvWriteImm);
   EXPECT_EQ(r1[1].immediate, 31337u);
-}
-
-TEST(TcpFabric, BreakLinkNotifiesBothSides) {
-  std::mutex m;
-  std::condition_variable cv;
-  int disconnects = 0;
-  fabric::TcpFabric fabric(loopback(2), all_nodes(2));
-  for (NodeId n = 0; n < 2; ++n) {
-    fabric.endpoint(n).set_completion_handler(
-        [&](const fabric::Completion& c) {
-          if (c.opcode == fabric::WcOpcode::kDisconnect) {
-            std::lock_guard lock(m);
-            ++disconnects;
-            cv.notify_all();
-          }
-        });
-  }
-  fabric::QueuePair* qp0 = fabric.connect(0, 1, 0);
-  fabric.connect(1, 0, 0);
-  fabric.break_link(0, 1);
-  std::unique_lock lock(m);
-  ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return disconnects >= 2; }));
-  EXPECT_TRUE(qp0->broken());
-  std::vector<std::byte> b(8);
-  EXPECT_EQ(qp0->post_send(fabric::MemoryView{b.data(), 8}, 1, 0), fabric::PostResult::kQpBroken);
 }
 
 // ----------------------------------------------- full RDMC over TCP -------
